@@ -72,12 +72,8 @@ def _cmd_rank(payload: dict) -> dict:
 def _cmd_reduct_rank(payload: dict) -> dict:
     g = json_to_presentation(payload)
     n = _int_field(payload, "n")
-    rank = groups.rank_in_reduct(g, n)
-    return {
-        "rank": rank,
-        "n": n,
-        "degree_spectrum": groups.subgroup_degree_spectrum(g, n),
-    }
+    spectrum = groups.subgroup_degree_spectrum(g, n)
+    return {"rank": len(spectrum), "n": n, "degree_spectrum": spectrum}
 
 
 def _cmd_hereditary(payload: dict) -> dict:

@@ -168,17 +168,9 @@ def rank_in_reduct(
 ) -> int:
     """Lascar rank of the group in the signature of the n-th
     compositional root: the number of irreducible factors (with
-    multiplicity) of P(x**n) over the ring."""
-    if n < 1:
-        raise ValueError(f"reduct index must be >= 1, got {n}")
-    _require_valid(g)
-    max_deg = config.max_degree(degree_cap)
-    if g.size * n > max_deg:
-        raise BudgetExceeded(
-            f"P(x**{n}) would have degree {g.size * n}, cap is {max_deg}"
-        )
-    _, factors = factor_over_K(g.ring, substitute_power(g.char_poly, n))
-    return sum(m for _, m in factors)
+    multiplicity) of P(x**n) over the ring, which is the length of
+    subgroup_degree_spectrum(g, n)."""
+    return len(subgroup_degree_spectrum(g, n, degree_cap))
 
 
 def qacfa_rank(

@@ -460,20 +460,22 @@ def factor_over_K(
     return content, sorted_factors(factors)
 
 
+def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
+    """Smallest s >= 0 for which the norm of g shifted by s*theta is
+    squarefree: returns (s, shifted g, norm)."""
+    s = 0
+    while True:
+        gs = g if s == 0 else g.shift(K.gen * Fraction(-s))
+        norm = norm_poly(K, gs)
+        if gcd(norm, norm.derivative()).degree == 0:
+            return s, gs, norm
+        s += 1
+
+
 def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
     if g.degree == 1:
         return [g.monic()]
-    theta = K.gen
-    s = 0
-    while True:
-        if s == 0:
-            gs = g
-        else:
-            gs = g.shift(theta * Fraction(-s))
-        norm = norm_poly(K, gs)
-        if gcd(norm, norm.derivative()).degree == 0:
-            break
-        s += 1
+    s, gs, norm = _trager_shift(K, g)
     _, norm_factors = factor_over_Q(norm)
     if len(norm_factors) == 1:
         return [g.monic()]
@@ -487,7 +489,7 @@ def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
             continue
         rest = divrem(rest, w)[0]
         if s:
-            w = w.shift(theta * Fraction(s))
+            w = w.shift(K.gen * Fraction(s))
         out.append(w.monic())
     return out
 
@@ -536,14 +538,7 @@ def flatten(
         return FlattenedExtension(
             L, L.gen, lambda e, L=L: L.from_rational(e.as_rational()), 0
         )
-    theta = K.gen
-    s = 0
-    while True:
-        gs = Q if s == 0 else Q.shift(theta * Fraction(-s))
-        norm = norm_poly(K, gs)
-        if gcd(norm, norm.derivative()).degree == 0:
-            break
-        s += 1
+    s, _, norm = _trager_shift(K, Q)
     L = NumberField(norm, trusted=True)
     gamma = L.gen
     # theta's image: the shared root of the defining polynomial of K and

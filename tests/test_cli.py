@@ -1,5 +1,7 @@
 import json
+import sys
 
+from qrank import numfield
 from qrank.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -26,6 +28,19 @@ def test_rank_command_ok():
         {"coeffs": ["-3", "1"]},
         {"coeffs": ["3", "1"]},
     ]
+    assert set(report["result"]) == {
+        "rank",
+        "method",
+        "witness",
+        "validation",
+        "presentation",
+    }
+    assert report["result"]["validation"] == {
+        "irreducible_over_R": True,
+        "root_of_unity_eigenvalue": False,
+        "minimal_necessary": True,
+        "one_based_necessary": True,
+    }
 
 
 def test_rank_root_of_unity_exit_2():
@@ -34,6 +49,38 @@ def test_rank_root_of_unity_exit_2():
     )
     assert code == EXIT_VALIDATION
     assert report["status"] == "validation_failed"
+
+    report, code = run_task(
+        "rank", {"ring": "Q", "char_poly": {"coeffs": ["-1", "0", "1"]}}
+    )
+    assert code == EXIT_VALIDATION
+    assert report["error"] == (
+        "ValidationFailed: characteristic polynomial reducible over the ring; "
+        "a root of unity is an eigenvalue"
+    )
+
+
+def test_reduct_rank_factors_once(monkeypatch):
+    # wrap every qrank binding of factor_over_K, as `from .numfield import
+    # factor_over_K` binds a second name in each importing module
+    original = numfield.factor_over_K
+    degrees = []
+
+    def recording(K, p):
+        degrees.append(p.degree)
+        return original(K, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qrank" or name.startswith("qrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    report, code = run_task(
+        "reduct-rank", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}, "n": 4}
+    )
+    assert code == EXIT_OK
+    assert report["result"]["degree_spectrum"] == [2, 2]
+    assert degrees.count(4) == 1
 
 
 def test_fixed_field_command():
@@ -114,6 +161,7 @@ def test_reduct_rank_command():
     assert code == EXIT_OK
     assert report["result"]["rank"] == 2
     assert report["result"]["degree_spectrum"] == [1, 1]
+    assert set(report["result"]) == {"rank", "n", "degree_spectrum"}
 
 
 def test_degree_bound_command():
