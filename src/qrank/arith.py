@@ -154,13 +154,36 @@ def rational_nth_root(x: Fraction | int, n: int) -> Fraction | None:
     return None
 
 
-def euler_phi(n: int) -> int:
-    if n <= 0:
-        raise NonPositive(f"euler_phi requires n >= 1, got {n}")
-    out = n
-    for p in factor_integer(n):
-        out = out // p * (p - 1)
-    return out
+def perfect_power_exponent(x: Fraction | int) -> int:
+    """The largest e for which the positive rational x != 1 is an exact
+    e-th power.
+
+    Roots are taken prime by prime, smallest first, while they exist; an
+    e-th power other than 1 has numerator or denominator at least 2**e,
+    so only primes up to that bit length are tried (Bernstein 1998).  No
+    integer is factored, so the cost is bounded by the size of x.
+    """
+    x = Fraction(x)
+    if x <= 0:
+        raise NonPositive(f"perfect_power_exponent requires x > 0, got {x}")
+    if x == 1:
+        raise ValueError("1 is an e-th power for every e")
+    e = 1
+    for p in primes_upto(max(x.numerator, x.denominator).bit_length()):
+        while (root := rational_nth_root(x, p)) is not None:
+            x = root
+            e *= p
+    return e
+
+
+def totients_upto(n: int) -> list[int]:
+    """Euler's phi of 0..n by sieve (phi(0) is listed as 0)."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # untouched, so p is prime
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
 
 
 def primes_upto(n: int) -> list[int]:

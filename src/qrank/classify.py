@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .arith import exponent_vector, is_prime
+from .arith import is_prime, perfect_power_exponent
 from .errors import (
     FrobeniusInCharZero,
     NonPositive,
@@ -74,17 +73,14 @@ def subgroup_constraint(x: Fraction, m: int, y: Fraction, n: int) -> bool:
 
 
 def rationality_exponent(x0: Fraction) -> int:
-    """The greatest S for which the S-th root of x0 is rational: the gcd
-    of the prime exponents of x0."""
+    """The greatest S for which the S-th root of x0 is rational (the gcd
+    of the prime exponents of x0, found without factoring)."""
     x0 = Fraction(x0)
     if x0 <= 0:
         raise NonPositive(f"need x0 > 0, got {x0}")
     if x0 == 1:
         raise RatioOne("x0 = 1 has rational roots of every order")
-    g = 0
-    for e in exponent_vector(x0).values():
-        g = gcd(g, abs(e))
-    return g
+    return perfect_power_exponent(x0)
 
 
 def rank_bound_from_ratio(x0: Fraction) -> int | None:

@@ -18,7 +18,5 @@ def max_degree(override: int | None = None) -> int:
     return int(os.environ.get("QRANK_MAX_DEGREE", DEFAULT_MAX_DEGREE))
 
 
-def max_prime(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def max_prime() -> int:
     return int(os.environ.get("QRANK_MAX_PRIME", DEFAULT_MAX_PRIME))

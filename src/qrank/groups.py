@@ -17,7 +17,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .hereditary import has_root_of_unity_root, hereditary_factorization
-from .numfield import NFElement, NumberField, factor_over_K
+from .numfield import NFElement, NumberField, factor_over_K, is_irreducible
 from .poly import (
     CompanionMatrix,
     Poly,
@@ -119,11 +119,9 @@ def validate(g: CompanionPresentation) -> ValidationReport:
     """Check the eigenvalue conditions: characteristic polynomial
     irreducible over the ring, and no root-of-unity eigenvalue."""
     R, P = g.ring, g.char_poly
-    _, factors = factor_over_K(R, P)
-    irreducible = len(factors) == 1 and factors[0][1] == 1
-    rofu = has_root_of_unity_root(R, P)
     return ValidationReport(
-        irreducible_over_R=irreducible, root_of_unity_eigenvalue=rofu
+        irreducible_over_R=is_irreducible(R, P),
+        root_of_unity_eigenvalue=has_root_of_unity_root(R, P),
     )
 
 
@@ -174,16 +172,14 @@ def rank_in_reduct(
 
 
 def qacfa_rank(
-    g: CompanionPresentation,
-    degree_cap: int | None = None,
-    prime_cap: int | None = None,
+    g: CompanionPresentation, degree_cap: int | None = None
 ) -> RankReport:
     """Full-signature Lascar rank: the number of hereditarily
     irreducible hereditary factors of the characteristic polynomial,
     with the hereditary factorization attached as witness."""
     _require_valid(g)
     witness = hereditary_factorization(
-        g.ring, g.char_poly, degree_cap=degree_cap, prime_cap=prime_cap
+        g.ring, g.char_poly, degree_cap=degree_cap
     )
     return RankReport(
         rank=len(witness.factors),

@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from . import config
 from .arith import (
-    euler_phi,
-    exponent_vector,
-    factor_integer,
+    perfect_power_exponent,
     primes_upto,
     rational_nth_root,
+    totients_upto,
 )
 from .errors import (
     BudgetExceeded,
@@ -35,10 +34,10 @@ from .errors import (
 from .numfield import (
     NumberField,
     Obstruction,
-    coerce_poly,
     factor_over_K,
     flatten,
     in_minus4_fourth_powers,
+    is_irreducible,
     minimal_polynomial,
     pth_root_in_field,
     _to_primitive_int,
@@ -67,8 +66,9 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
     Pm = P.monic()
     x = K.poly([0, 1])
     one = Poly([K.one])
+    phi = totients_upto(2 * D * D)
     for n in range(1, 2 * D * D + 1):
-        if euler_phi(n) > D:
+        if phi[n] > D:
             continue
         h = pow_mod(x, n, Pm) - one
         if h.is_zero():
@@ -161,39 +161,30 @@ def _height_floor(dL: int, deg_alpha: int, alpha_reciprocal: bool) -> float:
     return best
 
 
-def _rational_power_record(r: Fraction, minus_four: bool = True) -> PowerTestRecord:
-    """Exact obstruction scan for a rational root (integer exponents)."""
+def _rational_power_record(r: Fraction) -> PowerTestRecord:
+    """Exact obstruction scan for a rational root: r can be a p-th power
+    only for primes p dividing the perfect-power exponent g of |r|."""
     assert r not in (0, 1, -1)
-    vec = exponent_vector(abs(r))
-    g = 0
-    for e in vec.values():
-        g = math.gcd(g, abs(e))
-    primes = sorted(factor_integer(g)) if g > 1 else []
+    g = perfect_power_exponent(abs(r))
     tested = []
-    for p in primes:
+    for p in primes_upto(g):
+        if g % p:
+            continue
         tested.append(p)
         if r < 0 and p % 2 == 0:
             continue
         if rational_nth_root(r, p) is not None:
             return PowerTestRecord(g, tuple(tested), False, Obstruction.pth_power(p))
     obstruction = None
-    if minus_four and rational_4th_power(-r / 4):
+    if r < 0 and rational_nth_root(-r / 4, 4) is not None:
         obstruction = Obstruction.minus_four()
-    return PowerTestRecord(g if g > 1 else 1, tuple(tested), True, obstruction)
+    return PowerTestRecord(g, tuple(tested), True, obstruction)
 
 
-def rational_4th_power(x: Fraction) -> bool:
-    if x <= 0:
-        return False
-    return rational_nth_root(x, 4) is not None
-
-
-def _power_test(
-    K: NumberField, Q: Poly, prime_cap: int | None
-) -> PowerTestRecord:
+def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
     """Obstruction scan for an irreducible factor Q over K; preconditions
     (irreducible, Q(0) != 0, no root-of-unity roots) are the caller's."""
-    cap = config.max_prime(prime_cap)
+    cap = config.max_prime()
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
     if L.degree == 1:
@@ -238,16 +229,13 @@ def _check_preconditions(K: NumberField, Q: Poly) -> None:
         raise NotIrreducible("constant polynomial")
     if Q.coeffs[0] == 0:
         raise ZeroConstantTerm("zero constant term: x divides the input")
-    _, factors = factor_over_K(K, Q)
-    if len(factors) != 1 or factors[0][1] != 1:
+    if not is_irreducible(K, Q):
         raise NotIrreducible(f"{Q!r} is reducible over the base field")
     if has_root_of_unity_root(K, Q):
         raise RootOfUnity("some root is a root of unity")
 
 
-def capelli_obstruction(
-    K: NumberField, Q: Poly, prime_cap: int | None = None
-) -> Obstruction | None:
+def capelli_obstruction(K: NumberField, Q: Poly) -> Obstruction | None:
     """Whether Q fails to be hereditarily irreducible over K, and why.
 
     Absent means Q(x**n) stays irreducible for every n >= 1.  The
@@ -255,17 +243,15 @@ def capelli_obstruction(
     root-of-unity roots) are checked and violations raise.
     """
     _check_preconditions(K, Q)
-    return _power_test(K, Q.monic(), prime_cap).obstruction
+    return _power_test(K, Q.monic()).obstruction
 
 
-def capelli_certificate(
-    K: NumberField, Q: Poly, prime_cap: int | None = None
-) -> HereditaryCertificate:
+def capelli_certificate(K: NumberField, Q: Poly) -> HereditaryCertificate:
     """Like capelli_obstruction but returns the full evidence record,
     including the witnessed split when obstructed."""
     _check_preconditions(K, Q)
     Qm = Q.monic()
-    rec = _power_test(K, Qm, prime_cap)
+    rec = _power_test(K, Qm)
     if rec.obstruction is None:
         return HereditaryCertificate(
             factor=Qm,
@@ -292,7 +278,6 @@ def hereditary_factorization(
     K: NumberField,
     P: Poly,
     degree_cap: int | None = None,
-    prime_cap: int | None = None,
 ) -> HereditaryFactorization:
     """Split P(x**N) into hereditarily irreducible factors over K.
 
@@ -305,7 +290,7 @@ def hereditary_factorization(
     """
     _check_preconditions(K, P)
     max_deg = config.max_degree(degree_cap)
-    P = coerce_poly(K, P).monic()
+    P = K.poly(P.coeffs).monic()
     base_deg = P.degree
     if base_deg > max_deg:
         raise BudgetExceeded(f"degree {base_deg} exceeds cap {max_deg}")
@@ -314,7 +299,7 @@ def hereditary_factorization(
     terminal: list[tuple[Poly, int, PowerTestRecord]] = []
     while queue:
         Q, acc = queue.pop(0)
-        rec = _power_test(K, Q, prime_cap)
+        rec = _power_test(K, Q)
         if rec.obstruction is None:
             terminal.append((Q, acc, rec))
             continue

@@ -40,10 +40,8 @@ class NumberField:
             raise NotIrreducible("defining polynomial must have degree >= 1")
         coeffs = tuple(Fraction(c) for c in min_poly.coeffs)
         min_poly = Poly(coeffs)
-        if not trusted and d > 1:
-            _, factors = factor_over_Q(min_poly)
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise NotIrreducible(f"{min_poly!r} is reducible over Q")
+        if not trusted and d > 1 and not is_irreducible(QQ, min_poly):
+            raise NotIrreducible(f"{min_poly!r} is reducible over Q")
         self.min_poly = min_poly
         self.degree = d
         # t**(d+i) mod m for i = 0..d-2, as coordinate rows
@@ -340,12 +338,21 @@ def _from_int_monic(f: list[int]) -> Poly:
     return Poly([Fraction(c, lc) for c in f])
 
 
-def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Factor over Q: content times monic irreducible factors with
-    multiplicities, canonically sorted."""
+def _factor_squarefree_over_Q(g: Poly) -> list[Poly]:
+    """Monic irreducible factors over Q of a squarefree g (Zassenhaus)."""
+    ints = _to_primitive_int(g)
+    return [_from_int_monic(h) for h in zz.zz_factor_squarefree(ints)]
+
+
+def _factor(
+    p: Poly, factor_squarefree: Callable[[Poly], list[Poly]]
+) -> tuple[object, list[tuple[Poly, int]]]:
+    """The front end shared by every field: leading coefficient, then the
+    power of x, then Yun once, each squarefree part split by the field's
+    own factor_squarefree; factors canonically sorted."""
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    content = Fraction(p.leading)
+    content = p.leading
     if p.degree == 0:
         return content, []
     f = p.monic()
@@ -356,12 +363,24 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
         f = Poly(f.coeffs[1:])
         k += 1
     if k:
-        factors.append((Poly([Fraction(0), Fraction(1)]), k))
-    for g, mult in squarefree_decomposition(f) if f.degree > 0 else []:
-        ints = _to_primitive_int(g)
-        for part in zz.zz_factor_squarefree(ints):
-            factors.append((_from_int_monic(part), mult))
+        one = f.leading
+        factors.append((Poly([one * 0, one]), k))
+    for g, mult in squarefree_decomposition(f):
+        factors.extend((w, mult) for w in factor_squarefree(g))
     return content, sorted_factors(factors)
+
+
+def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
+    """Factor over Q: content times monic irreducible factors with
+    multiplicities, canonically sorted."""
+    content, factors = _factor(p, _factor_squarefree_over_Q)
+    return Fraction(content), factors
+
+
+def is_irreducible(K: NumberField, p: Poly) -> bool:
+    """Whether p is irreducible over K: one factor, multiplicity one."""
+    _, factors = factor_over_K(K, p)
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,32 +415,17 @@ def norm_poly(K: NumberField, f: Poly) -> Poly:
     """Norm from K[x] down to Q[x] of a monic f, by evaluation and
     interpolation of the resultant with the defining polynomial."""
     if K.degree == 1:
-        return Poly([c.as_rational() for c in f.coeffs])
+        return _rational_coeffs(f)
     n = K.degree * f.degree + 1
     xs = _sample_points(n)
     ys = [f.evaluate(K.from_rational(x)).norm() for x in xs]
     return _interpolate(xs, ys)
 
 
-def _map_rational_poly(K: NumberField, f: Poly) -> Poly:
-    return Poly([K.from_rational(c) for c in f.coeffs])
-
-
 def _rational_coeffs(f: Poly) -> Poly:
     return Poly(
         [
             c.as_rational() if isinstance(c, NFElement) else Fraction(c)
-            for c in f.coeffs
-        ]
-    )
-
-
-def coerce_poly(K: NumberField, f: Poly) -> Poly:
-    """Lift a polynomial with rational coefficients into K[x]; K-valued
-    coefficients pass through unchanged."""
-    return Poly(
-        [
-            c if isinstance(c, NFElement) else K.from_rational(c)
             for c in f.coeffs
         ]
     )
@@ -436,28 +440,14 @@ def factor_over_K(
     Trager's method: shift x by s*t until the norm is squarefree, factor
     the norm over Q, recover the K-factors by gcd.
     """
-    if p.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    p = coerce_poly(K, p)
+    p = K.poly(p.coeffs)
     if K.degree == 1:
         content_q, factors_q = factor_over_Q(_rational_coeffs(p))
         return (
             K.from_rational(content_q),
-            [(_map_rational_poly(K, f), m) for f, m in factors_q],
+            [(K.poly(f.coeffs), m) for f, m in factors_q],
         )
-    content = p.leading
-    f = p.monic()
-    factors: list[tuple[Poly, int]] = []
-    k = 0
-    while f.degree > 0 and f.coeffs[0] == 0:
-        f = Poly(f.coeffs[1:])
-        k += 1
-    if k:
-        factors.append((K.poly([0, 1]), k))
-    for g, mult in squarefree_decomposition(f) if f.degree > 0 else []:
-        for w in _factor_squarefree_over_K(K, g):
-            factors.append((w, mult))
-    return content, sorted_factors(factors)
+    return _factor(p, lambda g: _factor_squarefree_over_K(K, g))
 
 
 def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
@@ -476,15 +466,16 @@ def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
     if g.degree == 1:
         return [g.monic()]
     s, gs, norm = _trager_shift(K, g)
-    _, norm_factors = factor_over_Q(norm)
+    # the norm is squarefree: Zassenhaus directly, no second Yun
+    norm_factors = _factor_squarefree_over_Q(norm)
     if len(norm_factors) == 1:
         return [g.monic()]
     out = []
     rest = gs
-    for h, _ in norm_factors:
+    for h in norm_factors:
         if rest.degree <= 0:
             break
-        w = gcd(rest, _map_rational_poly(K, h))
+        w = gcd(rest, K.poly(h.coeffs))
         if w.degree == 0:
             continue
         rest = divrem(rest, w)[0]
@@ -524,11 +515,9 @@ def flatten(
     """
     if Q.is_zero() or Q.degree < 1:
         raise NotIrreducible("need a nonconstant polynomial")
-    Q = coerce_poly(K, Q).monic()
-    if not trusted and Q.degree > 1:
-        _, factors = factor_over_K(K, Q)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise NotIrreducible(f"{Q!r} is reducible over the base field")
+    Q = K.poly(Q.coeffs).monic()
+    if not trusted and Q.degree > 1 and not is_irreducible(K, Q):
+        raise NotIrreducible(f"{Q!r} is reducible over the base field")
     if Q.degree == 1:
         alpha = -Q.coeffs[0]
         return FlattenedExtension(K, alpha, lambda e: e, 0)
@@ -544,12 +533,12 @@ def flatten(
     # theta's image: the shared root of the defining polynomial of K and
     # of Q with its coefficients rewritten as polynomials in y, evaluated
     # at x = gamma - s*y.  The gcd is linear because the norm is squarefree.
-    m_L = _map_rational_poly(L, K.min_poly)
+    m_L = L.poly(K.min_poly.coeffs)
     lin = Poly([gamma, L.from_rational(-s)])  # gamma - s*y
     acc = Poly(())
     for c in reversed(Q.coeffs):
         coord = c.coordinate_poly()  # in Q[y]
-        acc = acc * lin + _map_rational_poly(L, coord)
+        acc = acc * lin + L.poly(coord.coeffs)
     g = gcd(m_L, acc)
     if g.degree != 1:
         raise RuntimeError("primitive element gcd was not linear")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrank.arith import (
-    euler_phi,
     exponent_vector,
     factor_integer,
     is_prime,
+    perfect_power_exponent,
     rational_nth_root,
+    totients_upto,
 )
 from qrank.errors import EvenRootOfNegative, NonPositive
 
@@ -106,4 +108,34 @@ def test_rational_nth_root_exact_on_perfect_powers(r, n):
 
 
 def test_euler_phi_small():
-    assert [euler_phi(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    assert totients_upto(10)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+
+
+def test_perfect_power_exponent_known_values():
+    assert perfect_power_exponent(9) == 2
+    assert perfect_power_exponent(12) == 1
+    assert perfect_power_exponent(Fraction(64, 729)) == 6
+    assert perfect_power_exponent(2**60) == 60
+    assert perfect_power_exponent(Fraction(1, 3**35)) == 35
+    # a 196-bit semiprime of two Mersenne primes: no factoring needed
+    assert perfect_power_exponent((2**89 - 1) * (2**107 - 1)) == 1
+    with pytest.raises(NonPositive):
+        perfect_power_exponent(Fraction(-8))
+    with pytest.raises(ValueError):
+        perfect_power_exponent(1)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=100)
+def test_perfect_power_exponent_is_gcd_of_exponents(a, b, n):
+    x = Fraction(a, b) ** n
+    if x == 1:
+        return
+    g = 0
+    for e in exponent_vector(x).values():
+        g = math.gcd(g, e)
+    assert perfect_power_exponent(x) == g

@@ -1,5 +1,7 @@
 import json
+import signal
 import sys
+import time
 
 from qrank import numfield
 from qrank.cli import (
@@ -171,6 +173,35 @@ def test_degree_bound_command():
     assert report["result"]["bound"] is None
     report, code = run_task("degree-bound", {"deg_pi": 1, "deg_rho": 9})
     assert report["result"]["bound"] == 2
+
+
+class _Expired(BaseException):
+    """Raised by the alarm; a BaseException, so run_task cannot report it."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+def test_rational_power_tests_need_no_factoring():
+    # M89 * M107, a product of two Mersenne primes (196 bits): deciding
+    # whether it is a perfect power must not factor it
+    m = str((2**89 - 1) * (2**107 - 1))
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        for command, payload, key, expected in (
+            ("rank", {"ring": "Q", "char_poly": {"coeffs": ["-" + m, "1"]}}, "rank", 1),
+            ("degree-bound", {"x0": m}, "bound", 1),
+        ):
+            start = time.perf_counter()
+            report, code = run_task(command, payload)
+            assert time.perf_counter() - start < 5.0
+            assert code == EXIT_OK
+            assert report["result"][key] == expected
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_prolong_round_trip():

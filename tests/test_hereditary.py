@@ -88,9 +88,7 @@ def test_hereditary_factorization_product_law():
         prod = Poly([QQ.one])
         for f in hf.factors:
             prod = prod * f
-        from qrank.numfield import coerce_poly
-
-        assert prod == substitute_power(coerce_poly(QQ, p), hf.N)
+        assert prod == substitute_power(QQ.poly(p.coeffs), hf.N)
 
 
 def test_hereditary_budget():

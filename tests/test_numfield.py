@@ -19,6 +19,7 @@ from qrank.errors import (
     ZeroElement,
     ZeroPolynomial,
 )
+from qrank import numfield
 from qrank.numfield import (
     QQ,
     NumberField,
@@ -141,6 +142,71 @@ def test_factor_over_K_brute_square_search_agrees():
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         e = Q2.element([a, b])
         assert (e * e) != Q2.gen
+
+
+def _random_product(rng, K, budget):
+    """Monic product of small random factors over K with total degree at
+    most budget: a power of x, then factors of degree 1-3 (coefficients
+    a + b*t) raised to powers 1-3, so repeats are common."""
+    k = rng.randint(0, 2)
+    p = K.poly([0] * k + [1])
+    deg = k
+    while deg < budget:
+        d = rng.randint(1, min(3, budget - deg))
+        m = rng.randint(1, min(3, (budget - deg) // d))
+        coeffs = [
+            K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+            for _ in range(d)
+        ]
+        f = Poly(coeffs + [K.one])
+        for _ in range(m):
+            p = p * f
+        deg += d * m
+        if rng.random() < 0.3:
+            break
+    return p
+
+
+def test_factor_over_K_matches_sympy_degrees():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20)
+    fields = [
+        (QQ, sympy.S.One),
+        (gaussian_field(), sympy.I),
+        (sqrt2_field(), sympy.sqrt(2)),
+    ]
+    for K, t in fields:
+        extension = {"extension": t} if K.degree > 1 else {}
+        for _ in range(8):
+            p = _random_product(rng, K, 8)
+            expr = sum(
+                sympy.Rational(a) * t**j * x**i
+                for i, c in enumerate(p.coeffs)
+                for j, a in enumerate(c.coords)
+            )
+            _, ref = sympy.factor_list(sympy.expand(expr), x, **extension)
+            expected = sorted((sympy.degree(f, x), m) for f, m in ref)
+            _, factors = factor_over_K(K, p)
+            got = sorted((f.degree, m) for f, m in factors)
+            assert got == expected, f"{p!r} over {K!r}"
+
+
+def test_factor_over_K_runs_yun_once(monkeypatch):
+    # x^4 + 1 is squarefree and splits over Q(i); its Trager norm is
+    # squarefree by construction, so Yun's algorithm runs only on the input
+    Qi = gaussian_field()
+    calls = []
+    original = numfield.squarefree_decomposition
+
+    def counting(f):
+        calls.append(f.degree)
+        return original(f)
+
+    monkeypatch.setattr(numfield, "squarefree_decomposition", counting)
+    _, factors = factor_over_K(Qi, Qi.poly([1, 0, 0, 0, 1]))
+    assert [(f.degree, m) for f, m in factors] == [(2, 1), (2, 1)]
+    assert calls == [4]
 
 
 def _reconstruct(K, p):
