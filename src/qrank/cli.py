@@ -6,8 +6,9 @@ processes the batch in input order.  Output is deterministic: identical
 input and configuration give byte-identical reports.
 
 Exit codes: 0 ok, 2 validation failure (a theorem precondition does not
-hold), 3 budget exceeded, 4 parse error.  Malformed input never raises
-an uncaught exception.
+hold), 3 budget exceeded, 4 parse error (malformed input), 5 internal
+error (an engine fault; the report names the exception type and its
+message).  No task raises an uncaught exception.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 def _need(payload: dict, key: str):
@@ -60,6 +62,13 @@ def _int_field(payload: dict, key: str) -> int:
     return v
 
 
+def _exponent_field(payload: dict, key: str) -> int:
+    n = _int_field(payload, key)
+    if n < 1:
+        raise ParseError(f"{key!r} must be a positive integer, got {n}")
+    return n
+
+
 def _cmd_rank(payload: dict) -> dict:
     g = json_to_presentation(payload)
     report = groups.qacfa_rank(g)
@@ -71,7 +80,7 @@ def _cmd_rank(payload: dict) -> dict:
 
 def _cmd_reduct_rank(payload: dict) -> dict:
     g = json_to_presentation(payload)
-    n = _int_field(payload, "n")
+    n = _exponent_field(payload, "n")
     spectrum = groups.subgroup_degree_spectrum(g, n)
     return {"rank": len(spectrum), "n": n, "degree_spectrum": spectrum}
 
@@ -90,7 +99,7 @@ def _cmd_validate(payload: dict) -> dict:
 
 def _cmd_prolong(payload: dict) -> dict:
     g = json_to_presentation(payload)
-    n = _int_field(payload, "n")
+    n = _exponent_field(payload, "n")
     return presentation_to_json(groups.prolong(g, n))
 
 
@@ -127,9 +136,9 @@ def _cmd_oracle(payload: dict) -> dict:
     P = json_to_poly(_need(payload, "poly"), K)
     n_list = _need(payload, "n_list")
     if not isinstance(n_list, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in n_list
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_list
     ):
-        raise ParseError("'n_list' must be a list of integers")
+        raise ParseError("'n_list' must be a list of positive integers")
     counts = hereditary.oracle_factor_counts(K, P, n_list)
     return {"n_list": n_list, "counts": counts}
 
@@ -173,10 +182,10 @@ def run_task(command: str, payload) -> tuple[dict, int]:
         report["status"] = "validation_failed"
         report["error"] = f"{type(exc).__name__}: {exc}"
         return report, EXIT_VALIDATION
-    except Exception as exc:  # malformed input must not escape
-        report["status"] = "parse_error"
-        report["error"] = f"internal: {type(exc).__name__}: {exc}"
-        return report, EXIT_PARSE
+    except Exception as exc:  # an engine fault, never the input's
+        report["status"] = "internal_error"
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        return report, EXIT_INTERNAL
 
 
 def run_batch(tasks) -> tuple[dict, int]:

@@ -13,6 +13,7 @@ degree 1 are handled by exact integer exponent arithmetic instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,13 @@ from .numfield import (
     pth_root_in_field,
     _to_primitive_int,
     mahler_measure_upper,
+    norm_poly,
 )
-from .poly import Poly, gcd, poly_key, pow_mod, substitute_power
+from .poly import Poly, poly_key, substitute_power
+
+# after .numfield, which loads numpy through _intfactor: loading numpy
+# from here, earlier, raises the peak memory of `import qrank` by 0.7 MiB
+from ._intfactor import zz_divmod_monic
 
 # Height floor constants, all rounded down so prime bounds round up.
 _LOG_2_DOWN = 0.6931  # heights of rationals other than 0, +-1
@@ -51,29 +57,45 @@ _HALF_LOG_GOLDEN_DOWN = 0.2406  # degree-2 minimum: (1/2) log((1+sqrt5)/2)
 _LOG_SMYTH_DOWN = 0.2811  # log of the real root of x^3 - x - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_ints(n: int) -> tuple[int, ...]:
+    """Phi_n over Z, lowest degree first: x**n - 1 divided exactly by
+    Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = zz_divmod_monic(f, _cyclotomic_ints(d))[0]
+    return tuple(f)
+
+
 def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
     """Whether some root of P is a root of unity.
 
-    A root of unity of order n among the roots forces
-    phi(n) <= deg(P) * [K:Q], hence n <= 2 * (deg * [K:Q])**2; each
-    candidate order is tested by gcd(P, x**n - 1) over K.
+    The test runs on the norm R = prod_sigma sigma(P) in Q[x] of the
+    monic P, sigma over the embeddings of K (over Q, R is P).  A root of
+    unity among the roots of P is a root of R.  Conversely, if zeta is a
+    root of sigma(P), then tau^-1(zeta) is a root of P for any
+    automorphism tau of Q-bar extending sigma, and it is a root of unity
+    of the same order.  So P has a root of unity of order n as a root
+    exactly when R does, and since Phi_n is irreducible over Q, exactly
+    when Phi_n divides R in Q[x].  By Gauss's lemma (Phi_n is monic and
+    primitive) that holds exactly when Phi_n divides the primitive integer
+    multiple f of R in Z[x], an exact integer long division.
+
+    An order n among the roots forces phi(n) <= D = deg(P) * [K:Q] =
+    deg f, hence n <= 2 * D**2, which bounds the candidates.
     """
     if P.is_zero():
         raise ZeroPolynomial("root-of-unity test on the zero polynomial")
     if P.degree <= 0:
         return False
-    D = P.degree * K.degree
-    Pm = P.monic()
-    x = K.poly([0, 1])
-    one = Poly([K.one])
+    f = _to_primitive_int(norm_poly(K, P.monic()))
+    D = len(f) - 1
     phi = totients_upto(2 * D * D)
     for n in range(1, 2 * D * D + 1):
         if phi[n] > D:
             continue
-        h = pow_mod(x, n, Pm) - one
-        if h.is_zero():
-            return True
-        if gcd(Pm, h).degree > 0:
+        if not zz_divmod_monic(f, _cyclotomic_ints(n))[1]:
             return True
     return False
 

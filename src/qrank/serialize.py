@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, QrankError
-from .groups import CompanionPresentation, RankReport, ValidationReport
+from .groups import AMBIENTS, CompanionPresentation, RankReport, ValidationReport
 from .hereditary import HereditaryCertificate, HereditaryFactorization
 from .numfield import NFElement, NumberField, Obstruction, QQ
 from .poly import Poly
@@ -114,6 +114,8 @@ def json_to_presentation(obj) -> CompanionPresentation:
         raise ParseError(f"expected a presentation object, got {obj!r}")
     ring = json_to_field(obj.get("ring", "Q"))
     ambient = obj.get("ambient", "multiplicative")
+    if ambient not in AMBIENTS:
+        raise ParseError(f"unknown ambient tag {ambient!r}")
     if "char_poly" in obj:
         poly = json_to_poly(obj["char_poly"], ring)
         return CompanionPresentation(ring, poly, ambient)

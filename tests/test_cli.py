@@ -3,9 +3,15 @@ import signal
 import sys
 import time
 
-from qrank import numfield
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qrank import groups, numfield
+from qrank.groups import AMBIENTS
 from qrank.cli import (
+    COMMANDS,
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -124,6 +130,84 @@ def test_parse_errors_exit_4():
         assert report["status"] == "parse_error"
     report, code = run_task("frobnicate", {})
     assert code == EXIT_PARSE
+
+
+def test_nonpositive_exponents_exit_4():
+    P = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
+    for command, payload in (
+        ("prolong", dict(P, n=0)),
+        ("reduct-rank", dict(P, n=-3)),
+        ("oracle", {"field": "Q", "poly": P["char_poly"], "n_list": [2, 0]}),
+    ):
+        report, code = run_task(command, payload)
+        assert code == EXIT_PARSE, command
+        assert report["status"] == "parse_error"
+        assert "positive integer" in report["error"]
+
+
+def test_engine_fault_is_internal_error_exit_5(monkeypatch):
+    def broken(g):
+        raise RuntimeError("factor product mismatch")
+
+    monkeypatch.setattr(groups, "qacfa_rank", broken)
+    report, code = run_task("rank", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}})
+    assert code == EXIT_INTERNAL
+    assert report["status"] == "internal_error"
+    assert report["error"] == "RuntimeError: factor product mismatch"
+
+
+_KEYS = ("ring", "char_poly", "n", "field", "poly", "n_list", "x0", "coeffs", "min_poly",
+         "last_row", "size", "ambient", "q", "q_prime", "q0", "m", "characteristic",
+         "deg_pi", "deg_rho")
+_ints = st.integers(-10, 10)
+_rationals = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-2, 9))
+_leaves = (
+    st.none()
+    | st.booleans()
+    | _ints
+    | st.text(max_size=3)
+    | _rationals
+    | st.sampled_from(("Q",) + AMBIENTS)
+)
+_json = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+# each real key also draws a well-typed value, so that draws get past decoding
+# into the engine; at most 4 coefficients keeps every polynomial below degree 4
+_coeffs = st.lists(_ints | _rationals, min_size=1, max_size=4)
+_lead = st.sampled_from(("1", "1", "1", "-1", "2", "1/2"))
+_poly = st.fixed_dictionaries(
+    {"coeffs": st.builds(lambda low, lead: low + [lead], st.lists(_ints, max_size=3), _lead)}
+)
+_field = st.just("Q") | st.fixed_dictionaries({"min_poly": _poly})
+_typed = {
+    "ring": _field,
+    "min_poly": _poly,
+    "coeffs": _coeffs,
+    "last_row": _coeffs,
+    "n_list": st.lists(st.integers(-1, 6), max_size=3),
+    "ambient": st.sampled_from(AMBIENTS + ("additive",)),
+}
+_typed_payload = st.fixed_dictionaries(
+    {"char_poly": _poly, "poly": _poly, "field": _field},
+    optional={k: _typed.get(k, _ints | _rationals) for k in _KEYS if k not in ("char_poly", "poly", "field")},
+)
+_payload = st.one_of(
+    _typed_payload,
+    st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), _json, max_size=5),
+    _json,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COMMANDS + ("frobnicate",)), _payload)
+def test_run_task_fuzz_never_internal(command, payload):
+    report, code = run_task(command, payload)
+    assert report["status"] in ("ok", "parse_error", "validation_failed", "budget_exceeded"), report
+    assert code != EXIT_INTERNAL
 
 
 def test_malformed_presentation_is_validation_failure():

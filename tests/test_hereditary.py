@@ -1,8 +1,20 @@
+import functools
+import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
-from helpers import cyclotomic, gaussian_field, qpoly, random_irreducible
+from helpers import (
+    cyclotomic,
+    gaussian_field,
+    qpoly,
+    random_irreducible,
+    sqrt2_field,
+    sqrtm3_field,
+)
+from qrank import poly
 from qrank.errors import (
     BudgetExceeded,
     NotIrreducible,
@@ -20,11 +32,12 @@ from qrank.hereditary import (
 from qrank.numfield import (
     QQ,
     Obstruction,
+    factor_over_K,
     flatten,
     in_minus4_fourth_powers,
     is_pth_power,
 )
-from qrank.poly import Poly, substitute_power
+from qrank.poly import Poly, gcd, substitute_power
 
 
 def test_root_of_unity_examples():
@@ -35,11 +48,104 @@ def test_root_of_unity_examples():
         has_root_of_unity_root(QQ, Poly(()))
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_over(K, n):
+    return K.poly(cyclotomic(n).coeffs)
+
+
+def _has_root_of_unity_reference(K, P):
+    # gcd over K with every cyclotomic polynomial of admissible order
+    D = P.degree * K.degree
+    for n in range(1, 2 * D * D + 1):
+        phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        if phi <= D and gcd(P, _cyclotomic_over(K, n)).degree > 0:
+            return True
+    return False
+
+
+def _cyclotomic_factors(K, orders):
+    return [f for n in orders for f, _ in factor_over_K(K, cyclotomic(n))[1]]
+
+
+def test_root_of_unity_matches_gcd_reference():
+    rng = random.Random(5)
+    fields = [QQ, gaussian_field(), sqrt2_field(), sqrtm3_field()]
+    positives = 0
+    for K in fields:
+        # cyclotomic factors over K, split where K lies in Q(zeta_n)
+        pieces = _cyclotomic_factors(K, (1, 2, 3, 4, 5, 6, 8, 12))
+        for _ in range(24):
+            factors, degree = [], rng.randint(1, 6 // K.degree)
+            while sum(f.degree for f in factors) < degree:
+                if rng.random() < 0.4:
+                    factors.append(rng.choice(pieces))
+                else:
+                    coeffs = [K.from_rational(rng.randint(-3, 3)) + rng.randint(-1, 1) * K.gen
+                              for _ in range(rng.randint(1, 2))]
+                    factors.append(Poly(coeffs + [K.one]))
+            P = Poly([K.from_rational(rng.choice([1, 2, -3]))])
+            for f in factors:
+                P = P * f * (f if rng.random() < 0.2 else Poly([K.one]))
+            expected = _has_root_of_unity_reference(K, P)
+            assert has_root_of_unity_root(K, P) == expected, f"{P!r} over {K!r}"
+            positives += expected
+    assert 20 <= positives <= 76
+
+
+def test_root_of_unity_at_the_order_bound():
+    # Phi_n or one of its factors over K with phi(n) = deg(P) * [K:Q]: the
+    # largest admissible order for that degree
+    Qi, Qs2, Qw = gaussian_field(), sqrt2_field(), sqrtm3_field()
+    cases = [(QQ, 7, cyclotomic(7)), (QQ, 18, cyclotomic(18))]
+    cases += [(K, n, f) for K, n in ((Qi, 8), (Qi, 12), (Qs2, 8), (Qs2, 16), (Qw, 9), (Qw, 12))
+              for f in _cyclotomic_factors(K, (n,))]
+    for K, n, f in cases:
+        P = K.poly(f.coeffs)
+        assert sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1) == P.degree * K.degree
+        assert has_root_of_unity_root(K, P), f"{P!r} over {K!r}"
+        # non-monic, squared, and next to a factor without roots of unity
+        assert has_root_of_unity_root(K, Poly([K.from_rational(-5)]) * P * P)
+        assert has_root_of_unity_root(K, P * K.poly(qpoly(-2, 0, 1).coeffs))
+        shifted = Poly([c + K.one if i == 0 else c for i, c in enumerate(P.coeffs)])
+        assert has_root_of_unity_root(K, shifted) == _has_root_of_unity_reference(K, shifted)
+
+
 def test_root_of_unity_over_extension():
-    Qi = gaussian_field()
-    # x - i has the 4th root of unity as its root
-    assert has_root_of_unity_root(Qi, Poly([-Qi.gen, Qi.one]))
+    # cyclotomic factors that split over K
+    Qi, Qw = gaussian_field(), sqrtm3_field()
+    omega = (Qw.gen - Qw.one) * Qw.from_rational(Fraction(1, 2))  # (-1 + sqrt-3) / 2
+    assert omega * omega + omega + Qw.one == Qw.zero
+    assert has_root_of_unity_root(Qi, Poly([-Qi.gen, Qi.one]))  # x - i
+    assert has_root_of_unity_root(Qw, Poly([-omega, Qw.one]))  # x - omega
+    assert has_root_of_unity_root(Qw, Poly([Qw.from_rational(3), Qw.one]) * Poly([-omega, Qw.one]))
+    # roots of absolute value 2, 2 and sqrt2
     assert not has_root_of_unity_root(Qi, Poly([-2 * Qi.gen, Qi.one]))
+    assert not has_root_of_unity_root(Qw, Poly([-2 * omega, Qw.one]))
+    assert not has_root_of_unity_root(Qi, Poly([-Qi.gen - Qi.one, Qi.one]))
+
+
+def test_root_of_unity_needs_no_pow_mod_or_gcd(monkeypatch):
+    Qi = gaussian_field()
+    cases = [
+        (QQ, cyclotomic(9), True),
+        (QQ, qpoly(3, 1, 0, 0, -2, 0, 1), False),
+        (Qi, Qi.poly(qpoly(-3, 1, 0, 1).coeffs), False),
+        (Qi, Poly([Qi.gen, Qi.zero, Qi.zero, Qi.one]), True),  # x^3 + i
+    ]
+    calls = []
+    for original in (poly.pow_mod, poly.gcd):
+        def counting(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "qrank" or name.startswith("qrank."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    for K, P, expected in cases:
+        assert has_root_of_unity_root(K, P) == expected
+    assert calls == []
 
 
 def test_capelli_examples():
@@ -100,6 +206,34 @@ def test_oracle_examples():
     assert oracle_factor_counts(QQ, qpoly(-9, 1), [1, 2, 4]) == [1, 2, 2]
     assert oracle_factor_counts(QQ, qpoly(-12, 1), [1, 2, 3, 4, 6]) == [1] * 5
     assert oracle_factor_counts(QQ, qpoly(-1, 1), [2]) == [2]
+
+
+def test_oracle_matches_sympy_factor_counts():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    fields = [(QQ, sympy.S.One), (gaussian_field(), sympy.I), (sqrt2_field(), sympy.sqrt(2))]
+    n_list = [1, 2, 3, 4, 6]
+    for K, t in fields:
+        extension = {"extension": t} if K.degree > 1 else {}
+        # inputs that split under some x -> x**n, then random ones
+        cases = [K.poly(qpoly(*c).coeffs) for c in ((-4, 1), (4, 1), (-2, 0, 1), (-9, 0, 1))]
+        for _ in range(4):
+            coeffs = [K.from_rational(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+                      + rng.randint(-1, 1) * K.gen
+                      for _ in range(rng.randint(1, 2))]
+            cases.append(Poly(coeffs + [K.from_rational(rng.choice([1, 1, 2]))]))
+        for P in cases:
+            expected = []
+            for n in n_list:
+                expr = sum(
+                    sympy.Rational(a) * t**j * x ** (i * n)
+                    for i, c in enumerate(P.coeffs)
+                    for j, a in enumerate(c.coords)
+                )
+                _, ref = sympy.factor_list(sympy.expand(expr), x, **extension)
+                expected.append(sum(m for _, m in ref))
+            assert oracle_factor_counts(K, P, n_list) == expected, f"{P!r} over {K!r}"
 
 
 def test_oracle_budget():
