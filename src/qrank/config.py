@@ -1,9 +1,9 @@
 """Runtime budgets, overridable through environment variables.
 
 QRANK_MAX_DEGREE caps the degree of any substituted polynomial the engine
-will factor (hereditary search, reduct ranks, oracles).  QRANK_MAX_PRIME
-caps the prime search of the power-obstruction test.  Exceeding either is
-always a loud BudgetExceeded, never a silent pass.
+will build (hereditary search, reduct ranks, prolongation, oracles).
+QRANK_MAX_PRIME caps the prime search of the power-obstruction test.
+Exceeding either is always a loud BudgetExceeded, never a silent pass.
 """
 
 import os

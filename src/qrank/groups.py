@@ -129,11 +129,13 @@ def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:
     """Presentation of the same group for the n-th compositional root:
     the companion matrix of P(x**n), with the structural law that entry
     (mn, (j-1)n+1) is the original last-row entry c_j and the rest of
-    the last row vanishes."""
+    the last row vanishes.  The degree m*n is held to the same cap
+    (config.max_degree) as every other substitution."""
     if n < 1:
         raise ValueError(f"prolongation exponent must be >= 1, got {n}")
     if n == 1:
         return g
+    _check_degree(g, n)
     m = g.size
     new_poly = substitute_power(g.char_poly, n)
     out = CompanionPresentation(g.ring, new_poly, g.ambient)
@@ -147,6 +149,17 @@ def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:
                 f"prolongation entry law violated at column {k + 1}"
             )
     return out
+
+
+def _check_degree(
+    g: CompanionPresentation, n: int, degree_cap: int | None = None
+) -> None:
+    """BudgetExceeded when P(x**n) would pass the degree cap."""
+    max_deg = config.max_degree(degree_cap)
+    if g.size * n > max_deg:
+        raise BudgetExceeded(
+            f"P(x**{n}) would have degree {g.size * n}, cap is {max_deg}"
+        )
 
 
 def _require_valid(g: CompanionPresentation) -> ValidationReport:
@@ -214,11 +227,7 @@ def subgroup_degree_spectrum(
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
     _require_valid(g)
-    max_deg = config.max_degree(degree_cap)
-    if g.size * n > max_deg:
-        raise BudgetExceeded(
-            f"P(x**{n}) would have degree {g.size * n}, cap is {max_deg}"
-        )
+    _check_degree(g, n, degree_cap)
     _, factors = factor_over_K(g.ring, substitute_power(g.char_poly, n))
     out: list[int] = []
     for f, m in factors:

@@ -15,6 +15,7 @@ from . import _intfactor as zz
 from .errors import (
     DivisionByZero,
     NotIrreducible,
+    NotMonic,
     ZeroElement,
     ZeroPolynomial,
 )
@@ -387,39 +388,77 @@ def is_irreducible(K: NumberField, p: Poly) -> bool:
 # Factorization over an extension (Trager)
 
 
-def _interpolate(xs: list[Fraction], ys: list[Fraction]) -> Poly:
-    """Newton divided-difference interpolation, exact."""
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    out = Poly(())
-    for i in range(n - 1, -1, -1):
-        out = out * Poly([-xs[i], Fraction(1)]) + Poly([coef[i]])
-    return out
-
-
-def _sample_points(n: int) -> list[Fraction]:
-    pts = [Fraction(0)]
-    v = 1
-    while len(pts) < n:
-        pts.append(Fraction(v))
-        if len(pts) < n:
-            pts.append(Fraction(-v))
-        v += 1
-    return pts
-
-
 def norm_poly(K: NumberField, f: Poly) -> Poly:
-    """Norm from K[x] down to Q[x] of a monic f, by evaluation and
-    interpolation of the resultant with the defining polynomial."""
+    """Norm from K[x] down to Q[x] of a monic f: the product of the
+    conjugates of f over Q, monic of degree deg f * [K:Q].
+
+    With M(a) the d x d matrix of multiplication by a on the power basis
+    of K (column j holds the coordinates of a * theta**j) and
+    f = sum_i f_i x**i, the norm is N(f)(x) = det(sum_i M(f_i) x**i)
+    (Cohen, GTM 138, section 4.3).  One common denominator D of all the
+    entries turns the matrix into one over Z[x], and N(f) is its
+    determinant divided by D**d.  The determinant comes from Bareiss's
+    fraction-free elimination (Bareiss 1968, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination"): each step divides
+    exactly by the previous pivot, and by Sylvester's identity the pivot
+    of step k is the leading principal minor of order k + 1.  Since f is
+    monic of degree n, the matrix is D * (I x**n + terms of lower degree),
+    so that minor has leading term D**(k+1) x**((k+1)*n): no pivot is
+    zero and no row exchange is needed.
+    """
+    if not f.is_monic():
+        raise NotMonic(f"norm needs a monic polynomial, got {f!r}")
     if K.degree == 1:
         return _rational_coeffs(f)
-    n = K.degree * f.degree + 1
-    xs = _sample_points(n)
-    ys = [f.evaluate(K.from_rational(x)).norm() for x in xs]
-    return _interpolate(xs, ys)
+    d = K.degree
+    m = K.min_poly.coeffs
+    # cols[j][i]: coordinates of f_i * theta**j
+    cols: list[list[list[Fraction]]] = [[] for _ in range(d)]
+    for c in K.poly(f.coeffs).coeffs:
+        v = list(c.coords)
+        for col in cols:
+            col.append(v)
+            top = v[-1]
+            v = [0] + v[:-1]
+            if top:
+                v = [x - top * y for x, y in zip(v, m)]
+    den = math.lcm(*(x.denominator for col in cols for v in col for x in v))
+    a = [
+        [zz.zz_strip([v[r].numerator * (den // v[r].denominator) for v in col])
+         for col in cols]
+        for r in range(d)
+    ]
+    prev = [1]
+    for k in range(d - 1):
+        piv = a[k][k]
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                entry = zz.zz_sub(
+                    zz.zz_mul(piv, a[i][j]), zz.zz_mul(a[i][k], a[k][j])
+                )
+                a[i][j] = _zz_exact_quo(entry, prev) if k else entry
+        prev = piv
+    scale = den**d
+    return Poly([Fraction(c, scale) for c in a[d - 1][d - 1]])
+
+
+def _zz_exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g for g dividing f in Z[x].  g need not be monic: each
+    quotient coefficient is an integer, so the leading coefficients
+    divide exactly at every step."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return []
+    rem = list(f)
+    lc = g[-1]
+    quot = [0] * (len(f) - dg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dg] // lc
+        if c:
+            quot[i] = c
+            for j, b in enumerate(g):
+                rem[i + j] -= c * b
+    return quot
 
 
 def _rational_coeffs(f: Poly) -> Poly:

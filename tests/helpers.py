@@ -43,6 +43,28 @@ def cyclotomic(n: int) -> Poly:
     return f
 
 
+def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
+    """Norm from K[x] down to Q[x] of a monic f by evaluation and
+    interpolation: the resultant of f(a) with the defining polynomial at
+    deg f * [K:Q] + 1 rational points a, then Newton divided differences."""
+    if K.degree == 1:
+        return Poly([Fraction(c) for c in f.coeffs])
+    xs = [Fraction(0)]
+    v = 1
+    while len(xs) < K.degree * f.degree + 1:
+        xs += [Fraction(v), Fraction(-v)]
+        v += 1
+    xs = xs[: K.degree * f.degree + 1]
+    coef = [f.evaluate(K.from_rational(x)).norm() for x in xs]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    out = Poly(())
+    for i in range(len(xs) - 1, -1, -1):
+        out = out * Poly([-xs[i], Fraction(1)]) + Poly([coef[i]])
+    return out
+
+
 def random_monic(rng: random.Random, deg: int, bound: int = 10) -> Poly:
     coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(deg)]
     return Poly(coeffs + [Fraction(1)])

@@ -288,6 +288,29 @@ def test_rational_power_tests_need_no_factoring():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_prolong_degree_budget(monkeypatch):
+    # P(x**n) past the degree cap is refused before it is built
+    monkeypatch.delenv("QRANK_MAX_DEGREE", raising=False)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        report, code = run_task(
+            "prolong", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}, "n": 10**7}
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert report["error"] == "P(x**10000000) would have degree 10000000, cap is 256"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    report, code = run_task(
+        "prolong", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}, "n": 256}
+    )
+    assert code == EXIT_OK
+    assert len(report["result"]["last_row"]) == 256
+
+
 def test_prolong_round_trip():
     report, code = run_task(
         "prolong",

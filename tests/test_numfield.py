@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     gaussian_field,
     modular_degree_pattern_ok,
+    norm_poly_reference,
     qpoly,
     random_irreducible,
     sqrt2_field,
@@ -16,6 +17,7 @@ from helpers import (
 from qrank.errors import (
     DivisionByZero,
     NotIrreducible,
+    NotMonic,
     ZeroElement,
     ZeroPolynomial,
 )
@@ -27,8 +29,10 @@ from qrank.numfield import (
     factor_over_Q,
     flatten,
     in_minus4_fourth_powers,
+    is_irreducible,
     is_pth_power,
     minimal_polynomial,
+    norm_poly,
     weil_height,
 )
 from qrank.poly import Poly, gcd
@@ -84,6 +88,44 @@ def test_norm_multiplicative():
         a = K.element([Fraction(rng.randint(-6, 6)) for _ in range(2)])
         b = K.element([Fraction(rng.randint(-6, 6)) for _ in range(2)])
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5]))
+
+
+def test_norm_poly_matches_interpolation_reference():
+    rng = random.Random(21)
+
+    def monic(K, deg):  # non-integral coefficients
+        coeffs = [
+            K.element([_random_rational(rng) for _ in range(K.degree)])
+            for _ in range(deg)
+        ]
+        return K.poly(coeffs + [1])
+
+    for d in [2, 3, 4, 5, 6] * 2:
+        while True:  # a non-integral rational defining polynomial
+            m = Poly([_random_rational(rng) for _ in range(d)] + [Fraction(1)])
+            if any(c.denominator > 1 for c in m.coeffs) and is_irreducible(QQ, m):
+                break
+        K = NumberField(m)
+        for deg in rng.sample(range(1, 9), 4):
+            f = monic(K, deg)
+            # as drawn, and shifted by s*theta as the Trager shift search does
+            for h in (f, f.shift(K.gen * Fraction(-rng.randint(1, 3)))):
+                assert norm_poly(K, h) == norm_poly_reference(K, h), f"{h!r} over {K!r}"
+        # N(f) = f**d for f over Q, and N(g*h) = N(g)*N(h)
+        f = Poly([_random_rational(rng) for _ in range(3)] + [Fraction(1)])
+        assert norm_poly(K, K.poly(f.coeffs)) == math.prod([f] * d, start=qpoly(1))
+        g, h = monic(K, 1), monic(K, 2)
+        assert norm_poly(K, g * h) == norm_poly(K, g) * norm_poly(K, h)
+
+
+def test_norm_poly_needs_monic():
+    for K in (QQ, gaussian_field()):
+        with pytest.raises(NotMonic):
+            norm_poly(K, K.poly([1, 2]))
 
 
 def test_factor_over_Q_examples():
