@@ -198,6 +198,24 @@ def gf_is_squarefree(f: np.ndarray, p: int) -> bool:
     return gf_gcd(f, d, p).size == 1
 
 
+_ROOT_BLOCK = 1 << 16
+
+
+def gf_roots(f: np.ndarray, p: int) -> list[int]:
+    """Roots of f in GF(p), ascending, by Horner evaluation at every
+    residue in blocks of _ROOT_BLOCK, so memory stays bounded; p < 2**31
+    keeps every product inside int64."""
+    coeffs = f.tolist()[::-1]
+    roots: list[int] = []
+    for lo in range(0, p, _ROOT_BLOCK):
+        r = np.arange(lo, min(lo + _ROOT_BLOCK, p), dtype=np.int64)
+        acc = np.zeros_like(r)
+        for c in coeffs:
+            acc = (acc * r + c) % p
+        roots.extend((np.flatnonzero(acc == 0) + lo).tolist())
+    return roots
+
+
 def _berlekamp_matrix(f: np.ndarray, p: int) -> np.ndarray:
     """Rows are x**(i*p) mod f for i = 0..n-1."""
     n = f.size - 1

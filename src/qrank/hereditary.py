@@ -9,6 +9,17 @@ K(alpha) for some prime p, or alpha lies in -4*K(alpha)**4.  The primes
 that need testing are bounded by height(alpha) / h_min, where h_min is
 a proven lower bound for heights of candidate roots; elements of
 degree 1 are handled by exact integer exponent arithmetic instead.
+
+Each prime p is first filtered by norms, then by an exact power-residue
+sieve inside numfield.pth_root_in_field and in_minus4_fourth_powers: if
+alpha(r)**((l-1)/p) != 1 (mod l) at a root r of the defining polynomial
+of K(alpha) modulo a prime l = 1 (mod p) that is unramified and prime to
+every denominator, then alpha is not a p-th power (Lang, Algebra, VI
+section 8; Neukirch, Algebraic Number Theory, VII section 13).  This
+settles units, whose norm passes every odd p, without factoring
+x**p - alpha.  Only primes the sieve cannot settle go on to the exact
+factorization, so verdicts, prime bounds and tested primes do not depend
+on it.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _intfactor as zz
+from .arith import is_prime
 from .errors import (
     DivisionByZero,
     NotIrreducible,
@@ -281,8 +282,6 @@ class Obstruction:
 
     @staticmethod
     def pth_power(p: int) -> "Obstruction":
-        from .arith import is_prime
-
         if not is_prime(p):
             raise ValueError(f"obstruction exponent must be prime, got {p}")
         return Obstruction("pth_power", p)
@@ -607,12 +606,87 @@ def linear_roots(K: NumberField, f: Poly) -> list[NFElement]:
     return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
 
 
+# Work bounds of the power-residue sieve: primes l scanned per call, usable
+# (l, r) pairs after which it gives up, and the largest l (l**2 fits int64)
+_SIEVE_PRIMES = 40
+_SIEVE_PAIRS = 8
+_SIEVE_MAX_L = 1 << 31
+
+
+def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
+    """True only when a degree-one prime of L proves that the nonzero a
+    is not an n-th power in L; False proves nothing.
+
+    The scan runs over primes l with n | l - 1 that divide no denominator
+    of m = L.min_poly or of a, and for which m mod l is squarefree.  Then
+    l does not divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
+    discriminant prime to l and is the integral closure of Z_(l) in L.
+    If beta**n = a, then beta is integral over Z_(l), because a is
+    l-integral, hence beta = g(u) with g in Z_(l)[x].  For each root r of
+    m mod l, u -> r is a ring map Z_(l)[u] -> GF(l) (a degree-one prime
+    above l), so v = a(r) equals g(r)**n.  If v != 0, v lies in the
+    subgroup of n-th powers of GF(l)*, of index n since n | l - 1, which
+    is the kernel of v -> v**((l-1)/n).  So v**((l-1)/n) != 1 (mod l)
+    proves that a is not an n-th power.
+
+    By Kummer theory and Chebotarev's density theorem a non-n-th power
+    fails this test at a positive density of primes (Lang, Algebra, VI
+    section 8; Neukirch, Algebraic Number Theory, VII section 13), so a
+    few primes usually settle it.  The work is bounded by _SIEVE_PRIMES
+    primes and _SIEVE_PAIRS usable pairs (l, r).
+    """
+    m = L.min_poly.coeffs
+    den = math.lcm(*(c.denominator for c in m + a.coords))
+    scanned = pairs = 0
+    ell = 1
+    while scanned < _SIEVE_PRIMES and pairs < _SIEVE_PAIRS:
+        ell += n
+        if ell >= _SIEVE_MAX_L:
+            return False
+        if not is_prime(ell):
+            continue
+        scanned += 1
+        if den % ell == 0:
+            continue
+        m_ell = zz.gf_from_zz([_mod(c, ell) for c in m], ell)
+        roots = zz.gf_roots(m_ell, ell)
+        if not roots or not zz.gf_is_squarefree(m_ell, ell):
+            continue
+        a_ell = [_mod(c, ell) for c in reversed(a.coords)]
+        k = (ell - 1) // n
+        for r in roots:
+            v = 0
+            for c in a_ell:
+                v = (v * r + c) % ell
+            if v:
+                pairs += 1
+                if pow(v, k, ell) != 1:
+                    return True
+    return False
+
+
+def _mod(c: Fraction, ell: int) -> int:
+    return c.numerator * pow(c.denominator, -1, ell) % ell
+
+
 def pth_root_in_field(
     L: NumberField, a: NFElement, p: int
 ) -> NFElement | None:
-    """A beta in L with beta**p = a, if one exists (p prime)."""
+    """A beta in L with beta**p = a, if one exists (p prime).
+
+    A power-residue sieve (_residue_sieve_rejects) first looks for a
+    degree-one prime of L, above some l = 1 (mod p) prime to disc(m_L)
+    and to the denominators, at which a is not a p-th power residue.  A
+    root beta would be l-integral and map to a p-th root of a(r) in GF(l),
+    so such a prime proves there is none (Lang, Algebra, VI section 8;
+    Neukirch, Algebraic Number Theory, VII section 13).  Otherwise
+    x**p - a is factored over L and the least root (by sort key) among its
+    linear factors is returned, so the answer does not depend on the sieve.
+    """
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
+    if _residue_sieve_rejects(L, a, p):
+        return None
     f = Poly([-a] + [L.zero] * (p - 1) + [L.one])
     roots = linear_roots(L, f)
     if not roots:
@@ -621,16 +695,24 @@ def pth_root_in_field(
 
 
 def is_pth_power(L: NumberField, a: NFElement, p: int) -> bool:
-    """Whether a is a p-th power in L, by factoring x**p - a over L and
-    searching for a linear factor."""
+    """Whether a is a p-th power in L (see pth_root_in_field)."""
     return pth_root_in_field(L, a, p) is not None
 
 
 def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
-    """Whether a lies in -4*L**4: a linear factor of x**4 + a/4 over L."""
+    """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L.
+
+    The power-residue sieve (_residue_sieve_rejects with n = 4) first
+    looks for a degree-one prime above some l = 1 (mod 4) at which -a/4
+    is not a fourth-power residue, which proves it is no fourth power in
+    L, by the argument of pth_root_in_field.  Otherwise x**4 + a/4 is
+    factored over L and searched for a linear factor.
+    """
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
     quarter = a * Fraction(1, 4)
+    if _residue_sieve_rejects(L, -quarter, 4):
+        return False
     f = Poly([quarter, L.zero, L.zero, L.zero, L.one])
     return bool(linear_roots(L, f))
 
@@ -710,7 +792,3 @@ def weil_height_upper(a: NFElement, iterations: int = 8) -> float:
     mp = minimal_polynomial(a)
     ints = _to_primitive_int(mp)
     return mahler_measure_upper(ints, iterations) / mp.degree
-
-
-def weil_height(a: NFElement) -> float:
-    return weil_height_upper(a)

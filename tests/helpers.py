@@ -8,7 +8,14 @@ from fractions import Fraction
 from qrank._intfactor import gf_factor_squarefree, gf_from_zz, gf_is_squarefree, gf_monic
 from qrank.arith import primes_upto
 from qrank.hereditary import has_root_of_unity_root
-from qrank.numfield import QQ, NumberField, factor_over_Q, _to_primitive_int
+from qrank.numfield import (
+    QQ,
+    NFElement,
+    NumberField,
+    factor_over_K,
+    factor_over_Q,
+    _to_primitive_int,
+)
 from qrank.poly import Poly
 
 
@@ -63,6 +70,17 @@ def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
     for i in range(len(xs) - 1, -1, -1):
         out = out * Poly([-xs[i], Fraction(1)]) + Poly([coef[i]])
     return out
+
+
+def pth_root_reference(L: NumberField, a: NFElement, n: int) -> NFElement | None:
+    """The exact-only radical test: the least root (by sort key) of
+    x**n - a among the linear factors of its factorization over L, or
+    None.  The reference for in_minus4_fourth_powers(L, a) is whether
+    pth_root_reference(L, -a/4, 4) is not None."""
+    f = Poly([-a] + [L.zero] * (n - 1) + [L.one])
+    _, factors = factor_over_K(L, f)
+    roots = [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
+    return min(roots, key=lambda r: r.sort_key()) if roots else None
 
 
 def random_monic(rng: random.Random, deg: int, bound: int = 10) -> Poly:

@@ -3,10 +3,12 @@ import signal
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrank import groups, numfield
+from qrank.arith import primes_upto
 from qrank.groups import AMBIENTS
 from qrank.cli import (
     COMMANDS,
@@ -283,6 +285,37 @@ def test_rational_power_tests_need_no_factoring():
             assert time.perf_counter() - start < 5.0
             assert code == EXIT_OK
             assert report["result"][key] == expected
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_reciprocal_units_finish():
+    # roots of these reciprocal quartics are units: the norm test passes
+    # every odd p, so the power-residue sieve must settle the power test's
+    # primes; the rank must agree with sympy's factor counts of P(x**N)
+    # and of P(x**(2N))
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        for coeffs, bound in (([1, 3, 0, 3, 1], 362), ([1, 2, 1, 2, 1], 195)):
+            start = time.perf_counter()
+            report, code = run_task(
+                "rank", {"ring": "Q", "char_poly": {"coeffs": [str(c) for c in coeffs]}}
+            )
+            assert time.perf_counter() - start < 5.0
+            assert code == EXIT_OK
+            result = report["result"]
+            certificates = result["witness"]["certificates"]
+            assert [c["prime_bound"] for c in certificates] == [bound]
+            assert certificates[0]["primes_tested"] == primes_upto(bound)
+            N = result["witness"]["N"]
+            P = sum(c * x**i for i, c in enumerate(coeffs))
+            for n in (N, 2 * N):
+                _, factors = sympy.factor_list(P.subs(x, x**n), x)
+                assert sum(m for _, m in factors) == result["rank"]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

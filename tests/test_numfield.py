@@ -8,6 +8,7 @@ from helpers import (
     gaussian_field,
     modular_degree_pattern_ok,
     norm_poly_reference,
+    pth_root_reference,
     qpoly,
     random_irreducible,
     sqrt2_field,
@@ -33,8 +34,10 @@ from qrank.numfield import (
     is_pth_power,
     minimal_polynomial,
     norm_poly,
-    weil_height,
+    pth_root_in_field,
+    weil_height_upper,
 )
+from qrank.arith import primes_upto
 from qrank.poly import Poly, gcd
 
 
@@ -390,6 +393,99 @@ def test_in_minus4_fourth_powers_examples():
         in_minus4_fourth_powers(QQ, QQ.zero)
 
 
+def _sieve_fields():
+    """Q(i), Q(sqrt2), Q(sqrt-3), a cubic with a non-integral defining
+    polynomial, and the quartic that flatten gives for the reciprocal unit
+    x^4 + 3x^3 + 3x + 1 over Q."""
+    return [
+        gaussian_field(),
+        sqrt2_field(),
+        sqrtm3_field(),
+        NumberField(qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1)),
+        flatten(QQ, qpoly(1, 3, 0, 3, 1)).field,
+    ]
+
+
+def _nonintegral(rng, L):
+    while True:
+        e = L.element(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(L.degree)]
+        )
+        if any(c.denominator > 1 for c in e.coords):
+            return e
+
+
+def test_residue_sieve_never_rejects_true_powers():
+    rng = random.Random(31)
+    for L in _sieve_fields():
+        for p in (2, 3, 5, 7):
+            beta = _nonintegral(rng, L)
+            a = beta**p
+            assert not numfield._residue_sieve_rejects(L, a, p), (L, beta, p)
+            root = pth_root_in_field(L, a, p)
+            assert root is not None and root**p == a
+        gamma = _nonintegral(rng, L)
+        a = gamma**4 * -4
+        assert not numfield._residue_sieve_rejects(L, gamma**4, 4), (L, gamma)
+        assert in_minus4_fourth_powers(L, a)
+    # u**2 = 45: 3 = 1 (mod 2) divides the index of Z[u] in the maximal
+    # order, so u**2 - 45 is not squarefree mod 3.  beta = -3/7 + 2u/3 is
+    # not 3-integral in Z[u] while beta**2 is, and beta**2 is a non-residue
+    # at the root 0 mod 3: only the squarefree condition skips l = 3
+    L = NumberField(qpoly(-45, 0, 1))
+    beta = L.element([Fraction(-3, 7), Fraction(2, 3)])
+    assert not numfield._residue_sieve_rejects(L, beta**2, 2)
+    assert pth_root_in_field(L, beta**2, 2) in (beta, -beta)
+
+
+def test_power_tests_match_exact_reference():
+    # sieve-then-exact against exact-only on units, non-units and true
+    # powers: same roots, same verdicts
+    rng = random.Random(32)
+    fields = _sieve_fields()
+    units = [
+        fields[0].gen,
+        fields[1].gen + 1,
+        (fields[2].gen - 1) * Fraction(1, 2),
+        None,
+        fields[4].gen,
+    ]
+    for L, u in zip(fields, units):
+        elements = [_nonintegral(rng, L) for _ in range(2)]
+        integral = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(L.degree - 1)]
+        elements.append(L.element(integral))
+        if u is not None:
+            elements += [u, -(u**3)]
+        for p in (2, 3, 5):
+            elements.append(_nonintegral(rng, L) ** p)
+        elements.append(_nonintegral(rng, L) ** 4 * -4)
+        for a in elements:
+            for p in (2, 3, 5, 7):
+                assert pth_root_in_field(L, a, p) == pth_root_reference(L, a, p)
+            expected = pth_root_reference(L, a * Fraction(-1, 4), 4) is not None
+            assert in_minus4_fourth_powers(L, a) == expected
+
+
+def test_pth_root_of_a_unit_needs_no_factoring(monkeypatch):
+    # u, a root of x^4 + 3x^3 + 3x + 1, is a unit, so the norm prefilter
+    # of the power test passes every odd p; the sieve settles every prime
+    # up to that test's bound (362) without factoring x**p - u
+    L = flatten(QQ, qpoly(1, 3, 0, 3, 1)).field
+    calls = []
+    original = numfield.factor_over_K
+
+    def counting(K, f):
+        calls.append(f.degree)
+        return original(K, f)
+
+    monkeypatch.setattr(numfield, "factor_over_K", counting)
+    for p in primes_upto(362):
+        assert pth_root_in_field(L, L.gen, p) is None
+        assert calls == [], p
+    assert not in_minus4_fourth_powers(L, L.gen)
+    assert calls == []
+
+
 def test_minimal_polynomial():
     Q3 = sqrt3_field()
     alpha = Q3.from_rational(2) + Q3.gen
@@ -400,16 +496,16 @@ def test_minimal_polynomial():
 
 
 def test_weil_height_examples():
-    h = weil_height(QQ.from_rational(2))
+    h = weil_height_upper(QQ.from_rational(2))
     assert math.log(2) <= h <= math.log(2) + 0.01
-    assert 0 <= weil_height(QQ.from_rational(1)) <= 0.01
+    assert 0 <= weil_height_upper(QQ.from_rational(1)) <= 0.01
     Q3 = sqrt3_field()
     alpha = Q3.from_rational(2) + Q3.gen  # 2 + sqrt3, the large root of x^2-4x+1
     exact = 0.5 * math.log(2 + math.sqrt(3))
-    h = weil_height(alpha)
+    h = weil_height_upper(alpha)
     assert exact <= h <= exact + 0.01
 
 
 def test_weil_height_zero():
     with pytest.raises(ZeroElement):
-        weil_height(QQ.zero)
+        weil_height_upper(QQ.zero)
