@@ -223,7 +223,8 @@ def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
     if L.degree == 1:
         return _rational_power_record(alpha.as_rational())
 
-    mp = minimal_polynomial(alpha)
+    # flatten returns alpha = L.gen over Q and at Trager shift 0
+    mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
     ints = _to_primitive_int(mp)
     h_up = mahler_measure_upper(ints) / mp.degree
     h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))

@@ -32,7 +32,7 @@ class NumberField:
     polynomial is already known irreducible (internal callers).
     """
 
-    __slots__ = ("min_poly", "degree", "_red_rows", "_gen")
+    __slots__ = ("min_poly", "degree", "_red_rows", "_gen", "_scan")
 
     def __init__(self, min_poly: Poly, trusted: bool = False):
         if min_poly.is_zero() or not min_poly.is_monic():
@@ -67,10 +67,21 @@ class NumberField:
         else:
             gen_coords[1] = Fraction(1)
         self._gen = NFElement(self, tuple(gen_coords))
+        self._scan: list[tuple[int, list[int]]] = []
 
     @property
     def gen(self) -> NFElement:
         return self._gen
+
+    def _certificate_primes(self):
+        """The first _CERT_PRIMES entries of _degree_one_primes(m, 2, 1),
+        each computed once, when a caller first reads that far."""
+        scan = self._scan
+        for i in range(_CERT_PRIMES):
+            if i == len(scan):
+                first = scan[-1][0] + 1 if scan else 2
+                scan.append(next(_degree_one_primes(self.min_poly, first, 1)))
+            yield scan[i]
 
     def element(self, coords) -> NFElement:
         cs = [Fraction(c) for c in coords]
@@ -303,9 +314,13 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm over a characteristic-zero field; f monic.
 
     Returns [(g_i, i)] with f = prod g_i**i, each g_i monic squarefree.
+    When _certified_squarefree proves f squarefree, the answer is
+    [(f, 1)] and no gcd is taken; otherwise Yun runs in full.
     """
     if f.degree < 1:
         return []
+    if _certified_squarefree(f):
+        return [(f.monic(), 1)]
     out = []
     g = gcd(f, f.derivative())
     c = divrem(f, g)[0]
@@ -319,6 +334,65 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         d = divrem(d, a)[0] - c.derivative()
         i += 1
     return out
+
+
+# Work bounds of the squarefree certificate: primes l scanned per field,
+# and usable (l, r) pairs tried per call, so that a failure stays cheap
+_CERT_PRIMES = 16
+_CERT_PAIRS = 6
+
+
+def _certified_squarefree(f: Poly) -> bool:
+    """True only when a degree-one prime of K proves that f in K[x] is
+    squarefree; False proves nothing.  K is the field of f's coefficients,
+    Q for rationals.
+
+    The scan runs over the degree-one primes (l, r) of K from
+    _degree_one_primes(m, 2, 1), with m = K.min_poly, skipping every l
+    that divides a denominator of a coordinate of f.  Then every
+    coefficient of f lies in Z_(l)[theta], and theta -> r is a ring map
+    phi: Z_(l)[theta] -> GF(l), because m(r) = 0 (mod l).  The resultant
+    Res(f, f') = +-lc(f) disc(f) is an integer polynomial in the
+    coefficients of f, so phi(Res(f, f')) is the resultant of phi(f) and
+    phi(f') taken at the formal degrees (n, n - 1).  When lc(f)(r) != 0
+    (mod l), phi(f) keeps degree n and phi(f') is its derivative, so that
+    formal resultant is a power of lc(phi(f)) times Res(phi(f), phi(f')),
+    which is nonzero exactly when gcd(phi(f), phi(f')) = 1 in GF(l)[x].
+    Then Res(f, f') != 0, disc f != 0, and f has no repeated root.
+
+    A squarefree f fails only at the finitely many l that divide the norm
+    of its discriminant.  The Trager norms over Q(i), Q(sqrt 2) and
+    Q(sqrt -3) often have 2, 3 and 5 among them, hence _CERT_PAIRS usable
+    pairs, within the first _CERT_PRIMES primes, before giving up.
+    """
+    lc = f.leading
+    if isinstance(lc, NFElement):
+        K = lc.field
+        rows = [c.coords for c in f.coeffs]
+    else:
+        K = QQ
+        rows = [(c,) for c in f.coeffs]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    pairs = 0
+    for ell, roots in K._certificate_primes():
+        if not roots or den % ell == 0:
+            continue
+        reduced = [[_mod(x, ell) for x in reversed(row)] for row in rows]
+        for r in roots:
+            vals = []
+            for row in reduced:
+                v = 0
+                for c in row:
+                    v = (v * r + c) % ell
+                vals.append(v)
+            if not vals[-1]:
+                continue
+            if zz.gf_is_squarefree(zz.gf_from_zz(vals, ell), ell):
+                return True
+            pairs += 1
+            if pairs == _CERT_PAIRS:
+                return False
+    return False
 
 
 def _to_primitive_int(f: Poly) -> list[int]:
@@ -490,14 +564,25 @@ def factor_over_K(
 
 def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
     """Smallest s >= 0 for which the norm of g shifted by s*theta is
-    squarefree: returns (s, shifted g, norm)."""
-    s = 0
-    while True:
+    squarefree: returns (s, shifted g, norm).
+
+    The norm of g(x - s*theta) has the n*d roots beta + s*theta_j, for
+    the d conjugates theta_j of theta and the roots beta of the matching
+    conjugate of g (n = deg g, d = [K:Q]).  For squarefree g, two of them
+    coincide only when beta + s*theta_j = beta' + s*theta_k with j != k,
+    which fixes s, so at most C(n*d, 2) shifts are bad.  Past that many,
+    g is not squarefree and NotIrreducible is raised.  A norm is accepted
+    when _certified_squarefree proves it squarefree, else by an exact gcd.
+    """
+    for s in range(math.comb(g.degree * K.degree, 2) + 1):
         gs = g if s == 0 else g.shift(K.gen * Fraction(-s))
         norm = norm_poly(K, gs)
-        if gcd(norm, norm.derivative()).degree == 0:
+        if (
+            _certified_squarefree(norm)
+            or gcd(norm, norm.derivative()).degree == 0
+        ):
             return s, gs, norm
-        s += 1
+    raise NotIrreducible(f"{g!r} is not squarefree")
 
 
 def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
@@ -613,12 +698,33 @@ _SIEVE_PAIRS = 8
 _SIEVE_MAX_L = 1 << 31
 
 
+def _degree_one_primes(m: Poly, first: int, step: int):
+    """Every prime l = first, first + step, ... below _SIEVE_MAX_L, with
+    the roots r of m mod l: the degree-one primes (l, r) of Q[t]/(m).
+
+    The roots are listed only when l divides no denominator of m and m
+    mod l is squarefree, so that l does not divide disc(m); otherwise the
+    list is empty.  Callers bound how many primes they read.
+    """
+    den = math.lcm(*(c.denominator for c in m.coeffs))
+    for ell in range(first, _SIEVE_MAX_L, step):
+        if not is_prime(ell):
+            continue
+        roots: list[int] = []
+        if den % ell:
+            m_ell = zz.gf_from_zz([_mod(c, ell) for c in m.coeffs], ell)
+            if zz.gf_is_squarefree(m_ell, ell):
+                roots = zz.gf_roots(m_ell, ell)
+        yield ell, roots
+
+
 def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     """True only when a degree-one prime of L proves that the nonzero a
     is not an n-th power in L; False proves nothing.
 
-    The scan runs over primes l with n | l - 1 that divide no denominator
-    of m = L.min_poly or of a, and for which m mod l is squarefree.  Then
+    The scan runs over the degree-one primes of _degree_one_primes(m,
+    n + 1, n) with m = L.min_poly: primes l with n | l - 1 that divide no
+    denominator of m or of a, and for which m mod l is squarefree.  Then
     l does not divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
     discriminant prime to l and is the integral closure of Z_(l) in L.
     If beta**n = a, then beta is integral over Z_(l), because a is
@@ -635,22 +741,13 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     few primes usually settle it.  The work is bounded by _SIEVE_PRIMES
     primes and _SIEVE_PAIRS usable pairs (l, r).
     """
-    m = L.min_poly.coeffs
-    den = math.lcm(*(c.denominator for c in m + a.coords))
+    den = math.lcm(*(c.denominator for c in a.coords))
     scanned = pairs = 0
-    ell = 1
-    while scanned < _SIEVE_PRIMES and pairs < _SIEVE_PAIRS:
-        ell += n
-        if ell >= _SIEVE_MAX_L:
+    for ell, roots in _degree_one_primes(L.min_poly, n + 1, n):
+        if scanned == _SIEVE_PRIMES or pairs >= _SIEVE_PAIRS:
             return False
-        if not is_prime(ell):
-            continue
         scanned += 1
-        if den % ell == 0:
-            continue
-        m_ell = zz.gf_from_zz([_mod(c, ell) for c in m], ell)
-        roots = zz.gf_roots(m_ell, ell)
-        if not roots or not zz.gf_is_squarefree(m_ell, ell):
+        if not roots or den % ell == 0:
             continue
         a_ell = [_mod(c, ell) for c in reversed(a.coords)]
         k = (ell - 1) // n

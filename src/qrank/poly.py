@@ -147,18 +147,24 @@ class Poly:
 
 
 def divrem(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with p = q*quot + rem, deg rem < deg q."""
+    """Quotient and remainder with p = q*quot + rem, deg rem < deg q.
+
+    A monic q needs no inverse of its leading coefficient: each quotient
+    coefficient is the current top coefficient of the remainder itself.
+    Over a number field that skips an extended Euclid in Q[t] per call,
+    and gcd only ever divides by a monic polynomial.
+    """
     if q.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if p.is_zero() or p.degree < q.degree:
         return Poly(()), p
     lc = q.leading
-    inv = _one_like(lc) / lc
+    inv = None if lc == 1 else _one_like(lc) / lc
     rem = list(p.coeffs)
     dq = q.degree
     quot = [_zero_like(lc)] * (len(rem) - dq)
     for i in range(len(rem) - dq - 1, -1, -1):
-        c = rem[i + dq] * inv
+        c = rem[i + dq] if inv is None else rem[i + dq] * inv
         if c == 0:
             continue
         quot[i] = c

@@ -16,7 +16,7 @@ from qrank.numfield import (
     factor_over_Q,
     _to_primitive_int,
 )
-from qrank.poly import Poly
+from qrank.poly import Poly, divrem, gcd
 
 
 def qpoly(*coeffs) -> Poly:
@@ -42,8 +42,6 @@ def sqrtm3_field() -> NumberField:
 def cyclotomic(n: int) -> Poly:
     """Phi_n by dividing x^n - 1 by all lower cyclotomics."""
     f = qpoly(*([-1] + [0] * (n - 1) + [1]))
-    from qrank.poly import divrem
-
     for d in range(1, n):
         if n % d == 0:
             f = divrem(f, cyclotomic(d))[0]
@@ -69,6 +67,26 @@ def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
     out = Poly(())
     for i in range(len(xs) - 1, -1, -1):
         out = out * Poly([-xs[i], Fraction(1)]) + Poly([coef[i]])
+    return out
+
+
+def squarefree_decomposition_reference(f: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm by Euclidean gcds alone, with no modular squarefree
+    certificate: [(g_i, i)] with the monic f = prod g_i**i."""
+    if f.degree < 1:
+        return []
+    out = []
+    g = gcd(f, f.derivative())
+    c = divrem(f, g)[0]
+    d = divrem(f.derivative(), g)[0] - c.derivative()
+    i = 1
+    while c.degree > 0:
+        a = gcd(c, d)
+        if a.degree > 0:
+            out.append((a.monic(), i))
+        c = divrem(c, a)[0]
+        d = divrem(d, a)[0] - c.derivative()
+        i += 1
     return out
 
 

@@ -14,7 +14,7 @@ from helpers import (
     sqrt2_field,
     sqrtm3_field,
 )
-from qrank import poly
+from qrank import hereditary, poly
 from qrank.errors import (
     BudgetExceeded,
     NotIrreducible,
@@ -36,6 +36,7 @@ from qrank.numfield import (
     flatten,
     in_minus4_fourth_powers,
     is_pth_power,
+    minimal_polynomial,
 )
 from qrank.poly import Poly, gcd, substitute_power
 
@@ -153,6 +154,33 @@ def test_capelli_examples():
     assert capelli_obstruction(QQ, qpoly(4, 1)) == Obstruction.minus_four()
     assert capelli_obstruction(QQ, qpoly(-12, 1)) is None
     assert capelli_obstruction(QQ, qpoly(1, -4, 1)) is None
+
+
+def test_power_test_reads_the_generator_min_poly(monkeypatch):
+    # flatten returns alpha = L.gen over Q and at Trager shift 0, whose
+    # minimal polynomial is L's defining polynomial
+    Qi = gaussian_field()
+    over_q = qpoly(-3, 1, 1)
+    shift0 = Poly([Qi.from_rational(3), -Qi.gen, Qi.one])  # x^2 - i x + 3
+    shifted = Qi.poly(over_q.coeffs)  # rational coefficients: s = 0 fails
+    for K, Q, s in ((QQ, over_q, 0), (Qi, shift0, 0), (Qi, shifted, 1)):
+        ext = flatten(K, Q)
+        assert ext.shift == s
+        assert (ext.alpha == ext.field.gen) == (s == 0)
+        assert minimal_polynomial(ext.field.gen) == ext.field.min_poly
+    calls = []
+    original = hereditary.minimal_polynomial
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(hereditary, "minimal_polynomial", counting)
+    assert capelli_obstruction(QQ, over_q) is None
+    assert capelli_obstruction(Qi, shift0) is None
+    assert calls == []
+    assert capelli_obstruction(Qi, shifted) is None
+    assert len(calls) == 1
 
 
 def test_capelli_cross_checked_by_oracle():

@@ -1,5 +1,8 @@
 import math
 import random
+import signal
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from helpers import (
     norm_poly_reference,
     pth_root_reference,
     qpoly,
+    squarefree_decomposition_reference,
     random_irreducible,
     sqrt2_field,
     sqrt3_field,
@@ -25,6 +29,7 @@ from qrank.errors import (
 from qrank import numfield
 from qrank.numfield import (
     QQ,
+    NFElement,
     NumberField,
     factor_over_K,
     factor_over_Q,
@@ -35,10 +40,11 @@ from qrank.numfield import (
     minimal_polynomial,
     norm_poly,
     pth_root_in_field,
+    squarefree_decomposition,
     weil_height_upper,
 )
 from qrank.arith import primes_upto
-from qrank.poly import Poly, gcd
+from qrank.poly import Poly, divrem, gcd
 
 
 def test_construction_rejects_reducible():
@@ -252,6 +258,134 @@ def test_factor_over_K_runs_yun_once(monkeypatch):
     _, factors = factor_over_K(Qi, Qi.poly([1, 0, 0, 0, 1]))
     assert [(f.degree, m) for f, m in factors] == [(2, 1), (2, 1)]
     assert calls == [4]
+
+
+def _certificate_fields():
+    return [
+        QQ,
+        gaussian_field(),
+        sqrt2_field(),
+        sqrtm3_field(),
+        NumberField(qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1)),
+    ]
+
+
+def _random_monic(rng, K, deg):
+    """Monic of degree deg over K with coordinates a/b, b in 1..6, so the
+    first primes often divide a denominator; rational over Q."""
+    def coeff():
+        coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(K.degree)]
+        return K.element(coords) if K.degree > 1 else coords[0]
+
+    return Poly([coeff() for _ in range(deg)] + [K.one if K.degree > 1 else Fraction(1)])
+
+
+def test_squarefree_certificate_is_sound_and_yun_matches_reference():
+    # g*h**2 is never certified; a certified g*h is squarefree by Euclid;
+    # Yun with the certificate equals Yun by Euclid alone on both
+    rng = random.Random(41)
+    for K in _certificate_fields():
+        certified = 0
+        for _ in range(10):
+            g = _random_monic(rng, K, rng.randint(1, 3))
+            h = _random_monic(rng, K, rng.randint(1, 2))
+            for f in (g * h * h, g * h):
+                if numfield._certified_squarefree(f):
+                    assert gcd(f, f.derivative()).degree == 0, (K, f)
+                    certified += 1
+                assert squarefree_decomposition(f) == squarefree_decomposition_reference(f)
+            assert not numfield._certified_squarefree(g * h * h)
+        assert certified >= 5, K
+
+
+def test_squarefree_certificate_skips_denominators_and_vanishing_leads():
+    x = qpoly(0, 1)
+    # 2, 3 and 5 divide denominators, so l = 7 must decide
+    f = (x - qpoly(Fraction(1, 2))) * (x - qpoly(Fraction(1, 3))) * (x - qpoly(Fraction(1, 5)))
+    assert numfield._certified_squarefree(f)
+    assert not numfield._certified_squarefree(f * (x - qpoly(Fraction(1, 2))))
+    # (2x + 1)**2 (x**2 + x + 1) reduces to x**2 + x + 1 mod 2, squarefree
+    # there, but its leading coefficient 4 vanishes mod 2
+    assert not numfield._certified_squarefree(
+        qpoly(1, 2) * qpoly(1, 2) * qpoly(1, 1, 1)
+    )
+    # over Q(i), 2 - i vanishes at the root 2 of t**2 + 1 mod 5, the first
+    # degree-one prime, where ((2 - i)x + 1)**2 (x**2 + x + 1) reduces to
+    # x**2 + x + 1, squarefree mod 5
+    Qi = gaussian_field()
+    w = Poly([Qi.one, 2 - Qi.gen])
+    assert not numfield._certified_squarefree(w * w * Qi.poly([1, 1, 1]))
+    assert numfield._certified_squarefree(w * Qi.poly([1, 1, 1]))
+    # t**3 + t/2 - 1/3: l = 2 and 3 divide denominators of m
+    K = _certificate_fields()[-1]
+    assert [roots for _, roots in K._certificate_primes()][:2] == [[], []]
+    v = Poly([K.gen * Fraction(1, 7), K.one])
+    assert numfield._certified_squarefree(v * K.poly([1, 0, 1]))
+    assert not numfield._certified_squarefree(v * v * K.poly([1, 0, 1]))
+
+
+def _callers(monkeypatch, module, name):
+    """Record the calling function's name on every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_factor_over_K_takes_no_yun_gcd_on_squarefree_input(monkeypatch):
+    Qi = gaussian_field()
+    i = Qi.gen
+    calls = _callers(monkeypatch, numfield, "gcd")
+    cubic = Poly([Qi.from_rational(2), -i, Qi.zero, Qi.one])  # x^3 - i x + 2
+    assert [m for _, m in _reconstruct(Qi, cubic)] == [1]
+    assert "squarefree_decomposition" not in calls
+    # the counter sees Yun's gcds when the input is not squarefree
+    _reconstruct(Qi, Poly([-i, Qi.one]) * Poly([-i, Qi.one]) * Qi.poly([1, 1]))
+    assert "squarefree_decomposition" in calls
+
+
+def test_divrem_by_monic_needs_no_inverse(monkeypatch):
+    Q2 = sqrt2_field()
+    s = Q2.gen
+    p = Poly([s * Fraction(1, 3), Q2.one, s - Fraction(2, 5), Q2.zero, s, Q2.one * 7])
+    q = Poly([Q2.one * Fraction(-1, 2), s * Fraction(3, 4), Q2.one])
+    calls = _callers(monkeypatch, NFElement, "inverse")
+    quot, rem = divrem(p, q)
+    assert calls == []
+    assert q * quot + rem == p and rem.degree < q.degree
+    quot2, rem2 = divrem(p, q.scale(2))
+    assert calls, "division by 2q inverts its leading coefficient"
+    assert rem2 == rem and quot == quot2.scale(2)
+
+
+class _Expired(BaseException):
+    """Raised by the alarm."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+def test_trager_shift_is_bounded_on_non_squarefree_input():
+    # for squarefree g at most C(deg g * [K:Q], 2) shifts are bad; (x - i)**2
+    # has no good shift, so the loop must stop and raise
+    Qi = gaussian_field()
+    w = Poly([-Qi.gen, Qi.one])
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(NotIrreducible):
+            flatten(Qi, w * w, trusted=True)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reconstruct(K, p):
