@@ -422,7 +422,7 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
 # ---------------------------------------------------------------------------
 # Zassenhaus
 
-_CANDIDATE_PRIMES = [q for q in primes_upto(300) if q >= 3]
+_CANDIDATE_PRIMES = primes_upto(10000)[1:]  # odd primes
 
 
 def _test_pl(fc: int, q: int, pl: int) -> bool:
@@ -451,8 +451,12 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     b = f[-1]
     B = (isqrt(n + 1) + 1) * 2**n * A * abs(b)
 
+    # compare up to five usable primes below 300; past 300 (the
+    # discriminant has swallowed every small prime) take the first one
     candidates = []
     for p in _CANDIDATE_PRIMES:
+        if candidates and p > 300:
+            break
         if b % p == 0:
             continue
         F = gf_from_zz(f, p)
@@ -466,15 +470,6 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             break
         if len(candidates) >= 5:
             break
-    if not candidates:
-        # the discriminant has swallowed every small prime; keep looking
-        for p in primes_upto(10000):
-            if p < 300 or b % p == 0:
-                continue
-            F = gf_from_zz(f, p)
-            if gf_is_squarefree(F, p):
-                candidates.append((gf_factor_count(gf_monic(F, p), p), p))
-                break
     if not candidates:
         raise RuntimeError("no usable prime found for modular factorization")
     _, p = min(candidates)

@@ -1,22 +1,48 @@
-"""Runtime budgets, overridable through environment variables.
+"""Runtime budgets, set through environment variables.
 
-QRANK_MAX_DEGREE caps the degree of any substituted polynomial the engine
-will build (hereditary search, reduct ranks, prolongation, oracles).
+QRANK_MAX_DEGREE caps the degree of every polynomial the engine factors
+or builds: P itself, before its first factorization (validation,
+hereditary search), and every P(x**n) (hereditary search, reduct ranks,
+prolongation, oracles).  check_degree is the one place that reads it.
 QRANK_MAX_PRIME caps the prime search of the power-obstruction test.
-Exceeding either is always a loud BudgetExceeded, never a silent pass.
+Exceeding either is always a loud BudgetExceeded, never a silent pass; a
+value that is not an integer >= 1 is a ParseError naming the variable.
 """
 
 import os
+
+from .errors import BudgetExceeded, ParseError
 
 DEFAULT_MAX_DEGREE = 256
 DEFAULT_MAX_PRIME = 10000
 
 
-def max_degree(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("QRANK_MAX_DEGREE", DEFAULT_MAX_DEGREE))
+def _positive_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(f"{name} must be an integer >= 1, got {raw!r}")
+    return value
+
+
+def max_degree() -> int:
+    return _positive_int("QRANK_MAX_DEGREE", DEFAULT_MAX_DEGREE)
 
 
 def max_prime() -> int:
-    return int(os.environ.get("QRANK_MAX_PRIME", DEFAULT_MAX_PRIME))
+    return _positive_int("QRANK_MAX_PRIME", DEFAULT_MAX_PRIME)
+
+
+def check_degree(m: int, n: int) -> None:
+    """BudgetExceeded when P(x**n), for P of degree m, would pass the
+    degree cap; n = 1 checks P itself."""
+    cap = max_degree()
+    if m * n > cap:
+        raise BudgetExceeded(
+            f"P(x**{n}) would have degree {m * n}, cap is {cap}"
+        )

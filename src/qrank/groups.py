@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import (
-    BudgetExceeded,
     NotMonic,
     ValidationFailed,
     ZeroConstantTerm,
@@ -117,8 +116,10 @@ class RankReport:
 
 def validate(g: CompanionPresentation) -> ValidationReport:
     """Check the eigenvalue conditions: characteristic polynomial
-    irreducible over the ring, and no root-of-unity eigenvalue."""
+    irreducible over the ring, and no root-of-unity eigenvalue.  P is
+    held to the degree cap before it is factored."""
     R, P = g.ring, g.char_poly
+    config.check_degree(P.degree, 1)
     return ValidationReport(
         irreducible_over_R=is_irreducible(R, P),
         root_of_unity_eigenvalue=has_root_of_unity_root(R, P),
@@ -129,14 +130,14 @@ def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:
     """Presentation of the same group for the n-th compositional root:
     the companion matrix of P(x**n), with the structural law that entry
     (mn, (j-1)n+1) is the original last-row entry c_j and the rest of
-    the last row vanishes.  The degree m*n is held to the same cap
-    (config.max_degree) as every other substitution."""
+    the last row vanishes.  The degree m*n is held to the degree cap
+    (config.check_degree) before P(x**n) is built."""
     if n < 1:
         raise ValueError(f"prolongation exponent must be >= 1, got {n}")
     if n == 1:
         return g
-    _check_degree(g, n)
     m = g.size
+    config.check_degree(m, n)
     new_poly = substitute_power(g.char_poly, n)
     out = CompanionPresentation(g.ring, new_poly, g.ambient)
     old_row = g.matrix().last_row
@@ -151,17 +152,6 @@ def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:
     return out
 
 
-def _check_degree(
-    g: CompanionPresentation, n: int, degree_cap: int | None = None
-) -> None:
-    """BudgetExceeded when P(x**n) would pass the degree cap."""
-    max_deg = config.max_degree(degree_cap)
-    if g.size * n > max_deg:
-        raise BudgetExceeded(
-            f"P(x**{n}) would have degree {g.size * n}, cap is {max_deg}"
-        )
-
-
 def _require_valid(g: CompanionPresentation) -> ValidationReport:
     report = validate(g)
     if not report.passes:
@@ -174,26 +164,20 @@ def _require_valid(g: CompanionPresentation) -> ValidationReport:
     return report
 
 
-def rank_in_reduct(
-    g: CompanionPresentation, n: int, degree_cap: int | None = None
-) -> int:
+def rank_in_reduct(g: CompanionPresentation, n: int) -> int:
     """Lascar rank of the group in the signature of the n-th
     compositional root: the number of irreducible factors (with
     multiplicity) of P(x**n) over the ring, which is the length of
     subgroup_degree_spectrum(g, n)."""
-    return len(subgroup_degree_spectrum(g, n, degree_cap))
+    return len(subgroup_degree_spectrum(g, n))
 
 
-def qacfa_rank(
-    g: CompanionPresentation, degree_cap: int | None = None
-) -> RankReport:
+def qacfa_rank(g: CompanionPresentation) -> RankReport:
     """Full-signature Lascar rank: the number of hereditarily
     irreducible hereditary factors of the characteristic polynomial,
     with the hereditary factorization attached as witness."""
     _require_valid(g)
-    witness = hereditary_factorization(
-        g.ring, g.char_poly, degree_cap=degree_cap
-    )
+    witness = hereditary_factorization(g.ring, g.char_poly)
     return RankReport(
         rank=len(witness.factors),
         method="hereditary_factor_count",
@@ -217,17 +201,17 @@ def eigenvalue_compatible(
     return divides(sqf, substitute_power(g.char_poly, n))
 
 
-def subgroup_degree_spectrum(
-    g: CompanionPresentation, n: int, degree_cap: int | None = None
-) -> list[int]:
+def subgroup_degree_spectrum(g: CompanionPresentation, n: int) -> list[int]:
     """Degrees (with multiplicity, sorted) of the irreducible factors of
     P(x**n) over the ring: the possible dimensions of minimal
     subgroups definable in the n-th root signature.  The singleton
-    {m*n} means no proper minimal subgroup exists at this n."""
+    {m*n} means no proper minimal subgroup exists at this n.  P is
+    validated first (validate holds it to the degree cap), then the
+    degree m*n of P(x**n) is checked against the cap."""
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
     _require_valid(g)
-    _check_degree(g, n, degree_cap)
+    config.check_degree(g.size, n)
     _, factors = factor_over_K(g.ring, substitute_power(g.char_poly, n))
     out: list[int] = []
     for f, m in factors:

@@ -263,6 +263,7 @@ def _check_preconditions(K: NumberField, Q: Poly) -> None:
         raise NotIrreducible("constant polynomial")
     if Q.coeffs[0] == 0:
         raise ZeroConstantTerm("zero constant term: x divides the input")
+    config.check_degree(Q.degree, 1)
     if not is_irreducible(K, Q):
         raise NotIrreducible(f"{Q!r} is reducible over the base field")
     if has_root_of_unity_root(K, Q):
@@ -309,9 +310,7 @@ def capelli_certificate(K: NumberField, Q: Poly) -> HereditaryCertificate:
 
 
 def hereditary_factorization(
-    K: NumberField,
-    P: Poly,
-    degree_cap: int | None = None,
+    K: NumberField, P: Poly
 ) -> HereditaryFactorization:
     """Split P(x**N) into hereditarily irreducible factors over K.
 
@@ -321,13 +320,14 @@ def hereditary_factorization(
     and each terminal factor is lifted by x -> x**(N/acc), which
     preserves hereditary irreducibility.  The product is verified to be
     exactly P(x**N) before returning.
+
+    The degree cap is checked for P before it is factored, for
+    P(x**(acc*e)) before each obstruction split, and for P(x**N) before
+    the lift.
     """
     _check_preconditions(K, P)
-    max_deg = config.max_degree(degree_cap)
     P = K.poly(P.coeffs).monic()
     base_deg = P.degree
-    if base_deg > max_deg:
-        raise BudgetExceeded(f"degree {base_deg} exceeds cap {max_deg}")
 
     queue: list[tuple[Poly, int]] = [(P, 1)]
     terminal: list[tuple[Poly, int, PowerTestRecord]] = []
@@ -339,11 +339,7 @@ def hereditary_factorization(
             continue
         e = rec.obstruction.exponent
         new_acc = acc * e
-        if base_deg * new_acc > max_deg:
-            raise BudgetExceeded(
-                f"P(x**{new_acc}) would have degree {base_deg * new_acc}, "
-                f"cap is {max_deg}"
-            )
+        config.check_degree(base_deg, new_acc)
         _, split = factor_over_K(K, substitute_power(Q, e))
         if sum(m for _, m in split) < 2:
             raise RuntimeError("obstruction did not split the factor")
@@ -354,10 +350,7 @@ def hereditary_factorization(
     N = 1
     for _, acc, _ in terminal:
         N = N * acc // math.gcd(N, acc)
-    if base_deg * N > max_deg:
-        raise BudgetExceeded(
-            f"P(x**{N}) would have degree {base_deg * N}, cap is {max_deg}"
-        )
+    config.check_degree(base_deg, N)
 
     lifted: list[tuple[Poly, HereditaryCertificate]] = []
     for Q, acc, rec in terminal:
@@ -394,26 +387,20 @@ def hereditary_factorization(
 
 
 def oracle_factor_counts(
-    K: NumberField,
-    P: Poly,
-    n_list: list[int],
-    degree_cap: int | None = None,
+    K: NumberField, P: Poly, n_list: list[int]
 ) -> list[int]:
     """Number of irreducible factors (with multiplicity) of P(x**n) over
     K for each n, computed solely by direct factorization.  This is the
     brute-force cross-check for the obstruction machinery; it has no
-    preconditions beyond the degree budget."""
+    preconditions beyond the degree cap, checked for each n before
+    P(x**n) is built."""
     if P.is_zero():
         raise ZeroPolynomial("oracle on the zero polynomial")
-    max_deg = config.max_degree(degree_cap)
     out = []
     for n in n_list:
         if n < 1:
             raise ValueError(f"substitution exponent must be >= 1, got {n}")
-        if P.degree * n > max_deg:
-            raise BudgetExceeded(
-                f"P(x**{n}) would have degree {P.degree * n}, cap is {max_deg}"
-            )
+        config.check_degree(P.degree, n)
         _, factors = factor_over_K(K, substitute_power(P, n))
         out.append(sum(m for _, m in factors))
     return out

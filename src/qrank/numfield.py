@@ -113,9 +113,6 @@ class NumberField:
             out.append(c if isinstance(c, NFElement) else self.from_rational(c))
         return Poly(out)
 
-    def is_rational_field(self) -> bool:
-        return self.degree == 1
-
     def same_as(self, other: "NumberField") -> bool:
         return self is other or self.min_poly == other.min_poly
 
@@ -851,18 +848,20 @@ def minimal_polynomial(a: NFElement) -> Poly:
 
 
 _LOG2 = math.log(2)
+_GRAEFFE_STEPS = 8
 
 
-def mahler_measure_upper(int_poly: list[int], iterations: int = 8) -> float:
+def mahler_measure_upper(int_poly: list[int]) -> float:
     """Certified upper bound on log of the Mahler measure of an integer
-    polynomial, by Graeffe iteration and the L2 (Landau) bound.
+    polynomial, by _GRAEFFE_STEPS Graeffe iterations and the L2 (Landau)
+    bound.
 
     Each Graeffe step squares the measure, so the Landau bound after k
     steps overshoots by at most (deg/2)*log(2)/2**k.
     """
     f = list(int_poly)
     scale = 1
-    for _ in range(iterations):
+    for _ in range(_GRAEFFE_STEPS):
         even = f[0::2]
         odd = f[1::2]
         sq_even = zz.zz_mul(even, even)
@@ -880,7 +879,7 @@ def mahler_measure_upper(int_poly: list[int], iterations: int = 8) -> float:
     return log_norm / scale * (1 + 1e-12) + 1e-12
 
 
-def weil_height_upper(a: NFElement, iterations: int = 8) -> float:
+def weil_height_upper(a: NFElement) -> float:
     """Certified upper bound on the absolute logarithmic Weil height,
     from the integer minimal polynomial via root-modulus (Mahler
     measure) bounds with outward rounding."""
@@ -888,4 +887,4 @@ def weil_height_upper(a: NFElement, iterations: int = 8) -> float:
         raise ZeroElement("height of zero is undefined")
     mp = minimal_polynomial(a)
     ints = _to_primitive_int(mp)
-    return mahler_measure_upper(ints, iterations) / mp.degree
+    return mahler_measure_upper(ints) / mp.degree

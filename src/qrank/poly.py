@@ -45,11 +45,6 @@ class Poly:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant_term(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial")
-        return self.coeffs[0]
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

@@ -86,7 +86,7 @@ def test_criterion_02_endomorphism_x4():
     assert t.elapsed < 1.0
 
 
-def test_criterion_03_bijection_correspondence():
+def test_criterion_03_bijection_correspondence(monkeypatch):
     with Timer() as t:
         P = qpoly(1, -4, 1)
         g = CompanionPresentation(QQ, P)
@@ -94,7 +94,8 @@ def test_criterion_03_bijection_correspondence():
         det = abs(Fraction(1))  # |P(0)| = 1
         bound = rank_bound_from_ratio(det)
         r = qacfa_rank(g)
-        counts = oracle_factor_counts(QQ, P, list(range(1, 13)), degree_cap=24)
+        monkeypatch.setenv("QRANK_MAX_DEGREE", "24")
+        counts = oracle_factor_counts(QQ, P, list(range(1, 13)))
     ok = (
         rep.passes
         and bound is None
@@ -186,22 +187,22 @@ def test_criterion_05_degree_ratio_bound():
     assert r64.witness.factors == witness_64, r64.witness.factors
 
 
-def test_criterion_06_oracle_equivalence_suite():
+def test_criterion_06_oracle_equivalence_suite(monkeypatch):
     rng = random.Random(2026)
     with Timer() as t:
         disagreements = []
         for idx in range(200):
             P = random_irreducible(rng, 3, 10)
-            hf = hereditary_factorization(QQ, P, degree_cap=60)
+            monkeypatch.setenv("QRANK_MAX_DEGREE", "60")
+            hf = hereditary_factorization(QQ, P)
             k = len(hf.factors)
             ns = [j * hf.N for j in (1, 2, 3) if P.degree * j * hf.N <= 60]
-            counts = oracle_factor_counts(QQ, P, ns, degree_cap=60)
+            counts = oracle_factor_counts(QQ, P, ns)
             if counts != [k] * len(ns):
                 disagreements.append((P, "stability", hf.N, k, counts))
             verdict = capelli_obstruction(QQ, P)
-            brute = oracle_factor_counts(
-                QQ, P, list(range(1, 25)), degree_cap=72
-            )
+            monkeypatch.setenv("QRANK_MAX_DEGREE", "72")
+            brute = oracle_factor_counts(QQ, P, list(range(1, 25)))
             if verdict is None:
                 if any(c != 1 for c in brute):
                     disagreements.append((P, "missed split", brute))

@@ -70,7 +70,8 @@ def test_rank_root_of_unity_exit_2():
     )
 
 
-def test_reduct_rank_factors_once(monkeypatch):
+def _record_factor_over_K(monkeypatch) -> list[int]:
+    """Degrees of every polynomial passed to factor_over_K from now on."""
     # wrap every qrank binding of factor_over_K, as `from .numfield import
     # factor_over_K` binds a second name in each importing module
     original = numfield.factor_over_K
@@ -85,6 +86,11 @@ def test_reduct_rank_factors_once(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, recording)
+    return degrees
+
+
+def test_reduct_rank_factors_once(monkeypatch):
+    degrees = _record_factor_over_K(monkeypatch)
     report, code = run_task(
         "reduct-rank", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}, "n": 4}
     )
@@ -118,6 +124,26 @@ def test_budget_exceeded_exit_3(monkeypatch):
     )
     assert code == EXIT_BUDGET
     assert report["status"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("QRANK_MAX_DEGREE", "abc"),
+        ("QRANK_MAX_DEGREE", "1.5"),
+        ("QRANK_MAX_DEGREE", "-3"),
+        ("QRANK_MAX_DEGREE", "0"),
+        ("QRANK_MAX_PRIME", "x"),
+    ],
+)
+def test_malformed_budget_variable_exit_4(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    report, code = run_task(
+        "rank", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
+    )
+    assert code == EXIT_PARSE
+    assert report["status"] == "parse_error"
+    assert report["error"] == f"{name} must be an integer >= 1, got {value!r}"
 
 
 def test_parse_errors_exit_4():
@@ -321,9 +347,8 @@ def test_reciprocal_units_finish():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_prolong_degree_budget(monkeypatch):
+def test_prolong_degree_budget():
     # P(x**n) past the degree cap is refused before it is built
-    monkeypatch.delenv("QRANK_MAX_DEGREE", raising=False)
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(30)
     try:
@@ -342,6 +367,33 @@ def test_prolong_degree_budget(monkeypatch):
     )
     assert code == EXIT_OK
     assert len(report["result"]["last_row"]) == 256
+
+
+def test_degree_cap_is_checked_before_factoring_P(monkeypatch):
+    # x**512 + 2x + 2 is Eisenstein at 2, hence irreducible; its degree is
+    # past the default cap of 256, so it must be refused before anything
+    # is factored
+    degrees = _record_factor_over_K(monkeypatch)
+    coeffs = ["2", "2"] + ["0"] * 510 + ["1"]
+    presentation = {"ring": "Q", "char_poly": {"coeffs": coeffs}}
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        for command, payload in (
+            ("rank", presentation),
+            ("validate", presentation),
+            ("hereditary", {"field": "Q", "poly": {"coeffs": coeffs}}),
+            ("reduct-rank", dict(presentation, n=1)),
+        ):
+            start = time.perf_counter()
+            report, code = run_task(command, payload)
+            assert time.perf_counter() - start < 1.0, command
+            assert code == EXIT_BUDGET, command
+            assert report["error"] == "P(x**1) would have degree 512, cap is 256"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert degrees == []
 
 
 def test_prolong_round_trip():

@@ -200,7 +200,8 @@ def test_rank_monotone_in_reduct_divisibility():
             assert rank_in_reduct(g, a) <= rank_in_reduct(g, b)
 
 
-def test_degree_ratio_bound_consistency():
+def test_degree_ratio_bound_consistency(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "60")
     rng = random.Random(21)
     checked = 0
     while checked < 25:
@@ -209,7 +210,7 @@ def test_degree_ratio_bound_consistency():
         det = abs(p.coeffs[0])
         if det == 1 or not validate(g).passes:
             continue
-        rank = qacfa_rank(g, degree_cap=60).rank
+        rank = qacfa_rank(g).rank
         assert rank <= rationality_exponent(det)
         checked += 1
 

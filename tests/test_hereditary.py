@@ -183,10 +183,11 @@ def test_power_test_reads_the_generator_min_poly(monkeypatch):
     assert len(calls) == 1
 
 
-def test_capelli_cross_checked_by_oracle():
+def test_capelli_cross_checked_by_oracle(monkeypatch):
     # absence of an obstruction means x**n substitutions never split
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "64")
     for p in (qpoly(-12, 1), qpoly(1, -4, 1)):
-        counts = oracle_factor_counts(QQ, p, list(range(1, 25)), degree_cap=64)
+        counts = oracle_factor_counts(QQ, p, list(range(1, 25)))
         assert all(c == 1 for c in counts)
 
 
@@ -214,20 +215,22 @@ def test_hereditary_factorization_examples():
         assert c.verdict == "hereditarily_irreducible"
 
 
-def test_hereditary_factorization_product_law():
+def test_hereditary_factorization_product_law(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "64")
     rng = random.Random(13)
     for _ in range(20):
         p = random_irreducible(rng, 2, 8)
-        hf = hereditary_factorization(QQ, p, degree_cap=64)
+        hf = hereditary_factorization(QQ, p)
         prod = Poly([QQ.one])
         for f in hf.factors:
             prod = prod * f
         assert prod == substitute_power(QQ.poly(p.coeffs), hf.N)
 
 
-def test_hereditary_budget():
+def test_hereditary_budget(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "4")
     with pytest.raises(BudgetExceeded):
-        hereditary_factorization(QQ, qpoly(-16, 1), degree_cap=4)
+        hereditary_factorization(QQ, qpoly(-16, 1))
 
 
 def test_oracle_examples():
@@ -269,7 +272,7 @@ def test_oracle_budget():
         oracle_factor_counts(QQ, qpoly(-9, 1), [300])
 
 
-def test_soundness_vs_oracle_random():
+def test_soundness_vs_oracle_random(monkeypatch):
     """Obstruction verdicts must match brute-force factor counts."""
     rng = random.Random(14)
     for _ in range(40):
@@ -277,29 +280,34 @@ def test_soundness_vs_oracle_random():
         verdict = capelli_obstruction(QQ, p)
         if verdict is None:
             ns = [n for n in range(2, 13) if p.degree * n <= 36]
-            counts = oracle_factor_counts(QQ, p, ns, degree_cap=36)
+            monkeypatch.setenv("QRANK_MAX_DEGREE", "36")
+            counts = oracle_factor_counts(QQ, p, ns)
             assert all(c == 1 for c in counts), (p, verdict, counts)
         elif verdict.kind == "pth_power":
             n = verdict.p
-            count = oracle_factor_counts(QQ, p, [n], degree_cap=64)[0]
+            monkeypatch.setenv("QRANK_MAX_DEGREE", "64")
+            count = oracle_factor_counts(QQ, p, [n])[0]
             assert count > 1, (p, verdict)
         else:
-            count = oracle_factor_counts(QQ, p, [4], degree_cap=64)[0]
+            monkeypatch.setenv("QRANK_MAX_DEGREE", "64")
+            count = oracle_factor_counts(QQ, p, [4])[0]
             assert count > 1, (p, verdict)
 
 
-def test_stability_of_factor_counts():
+def test_stability_of_factor_counts(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "60")
     rng = random.Random(15)
     for _ in range(12):
         p = random_irreducible(rng, 2, 9)
-        hf = hereditary_factorization(QQ, p, degree_cap=60)
+        hf = hereditary_factorization(QQ, p)
         k = len(hf.factors)
         ns = [j * hf.N for j in (1, 2, 3) if p.degree * j * hf.N <= 60]
-        counts = oracle_factor_counts(QQ, p, ns, degree_cap=60)
+        counts = oracle_factor_counts(QQ, p, ns)
         assert counts == [k] * len(ns)
 
 
-def test_divisibility_monotonicity():
+def test_divisibility_monotonicity(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "40")
     rng = random.Random(16)
     for _ in range(10):
         p = random_irreducible(rng, 2, 8)
@@ -307,7 +315,7 @@ def test_divisibility_monotonicity():
         for a, b in pairs:
             if p.degree * b > 40:
                 continue
-            ca, cb = oracle_factor_counts(QQ, p, [a, b], degree_cap=40)
+            ca, cb = oracle_factor_counts(QQ, p, [a, b])
             assert ca <= cb
 
 

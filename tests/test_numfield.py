@@ -26,7 +26,7 @@ from qrank.errors import (
     ZeroElement,
     ZeroPolynomial,
 )
-from qrank import numfield
+from qrank import _intfactor, numfield
 from qrank.numfield import (
     QQ,
     NFElement,
@@ -442,6 +442,27 @@ def test_factors_pairwise_coprime():
             for j in range(i + 1, len(factors)):
                 g = gcd(factors[i][0], factors[j][0])
                 assert g.degree == 0
+
+
+def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
+    # every odd prime below 300 divides M, so modulo each of them both
+    # inputs are x**2 or (x - 1)**2, not squarefree: the first usable
+    # prime is 307
+    M = math.prod(primes_upto(300)[1:])
+    original = _intfactor.gf_factor_count
+    primes = []
+
+    def recording(f, p):
+        primes.append(p)
+        return original(f, p)
+
+    monkeypatch.setattr(_intfactor, "gf_factor_count", recording)
+    assert _intfactor.zz_factor_squarefree([-M, 0, 1]) == [[-M, 0, 1]]
+    assert primes == [307]
+    primes.clear()
+    factors = _intfactor.zz_factor_squarefree([1 + M, -2 - M, 1])
+    assert sorted(factors) == [[-1 - M, 1], [-1, 1]]
+    assert primes == [307]
 
 
 def test_flatten_examples():
