@@ -275,7 +275,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             raw = sys.stdin.read()
         payload = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError, invalid UTF-8 and integer
+        # literals past the interpreter's digit limit
         report = {
             "engine_version": __version__,
             "status": "parse_error",

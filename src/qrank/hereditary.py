@@ -216,7 +216,13 @@ def _rational_power_record(r: Fraction) -> PowerTestRecord:
 
 def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
     """Obstruction scan for an irreducible factor Q over K; preconditions
-    (irreducible, Q(0) != 0, no root-of-unity roots) are the caller's."""
+    (irreducible, Q(0) != 0, no root-of-unity roots) are the caller's.
+
+    The norms of the prefilters come from the minimal polynomial mp of
+    alpha, with no element norm: the characteristic polynomial of alpha
+    in L is mp**([L:Q]/deg mp), so N(alpha) = ((-1)**deg mp *
+    mp(0))**([L:Q]/deg mp), and N(-alpha/4) = (-1/4)**[L:Q] * N(alpha).
+    """
     cap = config.max_prime()
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
@@ -234,7 +240,7 @@ def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
             f"power test needs primes up to {bound}, cap is {cap}"
         )
 
-    norm_alpha = alpha.norm()
+    norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** (L.degree // mp.degree)
     tested = []
     for p in primes_upto(bound):
         tested.append(p)
@@ -249,7 +255,7 @@ def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
             )
     obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
-    norm_m4 = (-alpha * Fraction(1, 4)).norm()
+    norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
     if norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
         if in_minus4_fourth_powers(L, alpha):
             obstruction = Obstruction.minus_four()

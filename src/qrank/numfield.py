@@ -20,9 +20,7 @@ from .errors import (
     ZeroElement,
     ZeroPolynomial,
 )
-from .poly import Poly, divrem, gcd, resultant, sorted_factors
-
-Rat = Fraction
+from .poly import Poly, divrem, gcd, sorted_factors
 
 
 class NumberField:
@@ -266,13 +264,11 @@ class NFElement:
         return tuple((c.numerator, c.denominator) for c in self.coords)
 
     def norm(self) -> Fraction:
-        """Field norm down to Q: the resultant of min_poly with the
-        coordinate polynomial (min_poly is monic, so no scaling)."""
-        if self.is_zero():
-            return Fraction(0)
-        if self.field.degree == 1:
-            return self.coords[0]
-        return resultant(self.field.min_poly, self.coordinate_poly())
+        """Field norm down to Q: (-1)**d * chi(0), for chi = N(x - self)
+        the characteristic polynomial of self from norm_poly, of degree
+        d = [K:Q]."""
+        chi = norm_poly(self.field, Poly([-self, self.field.one]))
+        return (-1) ** self.field.degree * chi.coeffs[0]
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
@@ -460,7 +456,11 @@ def is_irreducible(K: NumberField, p: Poly) -> bool:
 
 def norm_poly(K: NumberField, f: Poly) -> Poly:
     """Norm from K[x] down to Q[x] of a monic f: the product of the
-    conjugates of f over Q, monic of degree deg f * [K:Q].
+    conjugates of f over Q, monic of degree deg f * [K:Q].  It is the one
+    route to characteristic polynomials: for f = x - a it is
+    chi_a = det(x I - M(a)), with M(a) as below, from which
+    NFElement.norm and minimal_polynomial read the norm and the minimal
+    polynomial of a.
 
     With M(a) the d x d matrix of multiplication by a on the power basis
     of K (column j holds the coordinates of a * theta**j) and
@@ -682,12 +682,6 @@ def flatten(
 # Radical membership
 
 
-def linear_roots(K: NumberField, f: Poly) -> list[NFElement]:
-    """Roots of f lying in K, read off the linear factors."""
-    _, factors = factor_over_K(K, f)
-    return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
-
-
 # Work bounds of the power-residue sieve: primes l scanned per call, usable
 # (l, r) pairs after which it gives up, and the largest l (l**2 fits int64)
 _SIEVE_PRIMES = 40
@@ -763,29 +757,32 @@ def _mod(c: Fraction, ell: int) -> int:
     return c.numerator * pow(c.denominator, -1, ell) % ell
 
 
+def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
+    """The roots of x**n - b in L, for a nonzero b.
+
+    A power-residue sieve (_residue_sieve_rejects) first looks for a
+    degree-one prime of L, above some l = 1 (mod n) prime to disc(m_L)
+    and to the denominators, at which b is not an n-th power residue.  A
+    root beta would be l-integral and map to an n-th root of b(r) in
+    GF(l), so such a prime proves there is none (Lang, Algebra, VI
+    section 8; Neukirch, Algebraic Number Theory, VII section 13).
+    Otherwise x**n - b is factored over L and the roots are read off its
+    linear factors, so the answer does not depend on the sieve.
+    """
+    if _residue_sieve_rejects(L, b, n):
+        return []
+    _, factors = factor_over_K(L, Poly([-b] + [L.zero] * (n - 1) + [L.one]))
+    return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
+
+
 def pth_root_in_field(
     L: NumberField, a: NFElement, p: int
 ) -> NFElement | None:
-    """A beta in L with beta**p = a, if one exists (p prime).
-
-    A power-residue sieve (_residue_sieve_rejects) first looks for a
-    degree-one prime of L, above some l = 1 (mod p) prime to disc(m_L)
-    and to the denominators, at which a is not a p-th power residue.  A
-    root beta would be l-integral and map to a p-th root of a(r) in GF(l),
-    so such a prime proves there is none (Lang, Algebra, VI section 8;
-    Neukirch, Algebraic Number Theory, VII section 13).  Otherwise
-    x**p - a is factored over L and the least root (by sort key) among its
-    linear factors is returned, so the answer does not depend on the sieve.
-    """
+    """A beta in L with beta**p = a, if one exists (p prime): the least
+    root (by sort key) that _nth_roots finds."""
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
-    if _residue_sieve_rejects(L, a, p):
-        return None
-    f = Poly([-a] + [L.zero] * (p - 1) + [L.one])
-    roots = linear_roots(L, f)
-    if not roots:
-        return None
-    return min(roots, key=lambda r: r.sort_key())
+    return min(_nth_roots(L, a, p), key=lambda r: r.sort_key(), default=None)
 
 
 def is_pth_power(L: NumberField, a: NFElement, p: int) -> bool:
@@ -794,21 +791,11 @@ def is_pth_power(L: NumberField, a: NFElement, p: int) -> bool:
 
 
 def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
-    """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L.
-
-    The power-residue sieve (_residue_sieve_rejects with n = 4) first
-    looks for a degree-one prime above some l = 1 (mod 4) at which -a/4
-    is not a fourth-power residue, which proves it is no fourth power in
-    L, by the argument of pth_root_in_field.  Otherwise x**4 + a/4 is
-    factored over L and searched for a linear factor.
-    """
+    """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L:
+    whether x**4 + a/4 = x**4 - (-a/4) has a root, by _nth_roots."""
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
-    quarter = a * Fraction(1, 4)
-    if _residue_sieve_rejects(L, -quarter, 4):
-        return False
-    f = Poly([quarter, L.zero, L.zero, L.zero, L.one])
-    return bool(linear_roots(L, f))
+    return bool(_nth_roots(L, a * Fraction(-1, 4), 4))
 
 
 # ---------------------------------------------------------------------------
@@ -816,35 +803,14 @@ def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
 
 
 def minimal_polynomial(a: NFElement) -> Poly:
-    """Monic minimal polynomial of a over Q, by linear algebra on the
-    power basis coordinates."""
-    d = a.field.degree
-    if d == 1:
-        return Poly([-a.coords[0], Fraction(1)])
-    powers = [a.field.one]
-    for _ in range(d):
-        powers.append(powers[-1] * a)
-    # find the first k where 1, a, ..., a^k is dependent
-    rows: list[list[Fraction]] = []  # reduced echelon rows
-    combos: list[list[Fraction]] = []  # expression of each row in powers
-    for k, pw in enumerate(powers):
-        v = list(pw.coords)
-        combo = [Fraction(0)] * (d + 1)
-        combo[k] = Fraction(1)
-        for row, rc in zip(rows, combos):
-            lead = next(i for i, c in enumerate(row) if c != 0)
-            if v[lead]:
-                factor = v[lead]
-                v = [x - factor * y for x, y in zip(v, row)]
-                combo = [x - factor * y for x, y in zip(combo, rc)]
-        if not any(v):
-            # combo gives sum combo[i] * a^i = 0 with combo[k] = 1
-            return Poly(combo[: k + 1])
-        lead = next(i for i, c in enumerate(v) if c != 0)
-        inv = 1 / v[lead]
-        rows.append([x * inv for x in v])
-        combos.append([x * inv for x in combo])
-    raise RuntimeError("power basis produced no dependency")  # unreachable
+    """Monic minimal polynomial of a over Q.
+
+    The characteristic polynomial chi = N(x - a) from norm_poly is
+    mp**k with k = [K:Q(a)], so mp is its one squarefree part.
+    """
+    K = a.field
+    [(mp, _)] = squarefree_decomposition(norm_poly(K, Poly([-a, K.one])))
+    return mp
 
 
 _LOG2 = math.log(2)

@@ -224,27 +224,6 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
-def resultant(f: Poly, g: Poly):
-    """Res(f, g) = lc(f)**deg(g) * prod of g over the roots of f."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("resultant requires nonzero polynomials")
-    sign_flip = False
-    acc = _one_like(f.leading)
-    a, b = f, g
-    while True:
-        if b.degree == 0:
-            acc = acc * b.leading ** a.degree
-            break
-        r = divrem(a, b)[1]
-        if r.is_zero():
-            return _zero_like(f.leading)
-        acc = acc * b.leading ** (a.degree - r.degree)
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign_flip = not sign_flip
-        a, b = b, r
-    return -acc if sign_flip else acc
-
-
 @dataclass(frozen=True)
 class CompanionMatrix:
     """Companion matrix in the convention P(x) = x**m - sum c_j x**(j-1).

@@ -64,19 +64,22 @@ def poly_to_json(p: Poly) -> dict:
     return {"coeffs": out}
 
 
-def json_to_poly(obj, ring: NumberField) -> Poly:
+def _json_coeffs(obj) -> list:
+    """The coefficient list of a {"coeffs": [...]} object."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError(f"expected {{'coeffs': [...]}}, got {obj!r}")
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise ParseError("'coeffs' must be a list")
-    return Poly([json_to_scalar(c, ring) for c in coeffs])
+    return coeffs
+
+
+def json_to_poly(obj, ring: NumberField) -> Poly:
+    return Poly([json_to_scalar(c, ring) for c in _json_coeffs(obj)])
 
 
 def json_to_rational_poly(obj) -> Poly:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ParseError(f"expected {{'coeffs': [...]}}, got {obj!r}")
-    return Poly([str_to_rat(c) for c in obj["coeffs"]])
+    return Poly([str_to_rat(c) for c in _json_coeffs(obj)])
 
 
 def field_to_json(K: NumberField):

@@ -48,10 +48,39 @@ def cyclotomic(n: int) -> Poly:
     return f
 
 
+def resultant(f: Poly, g: Poly):
+    """Res(f, g) = lc(f)**deg(g) * prod of g over the roots of f, by the
+    Euclidean remainder sequence."""
+    sign_flip = False
+    acc = f.leading**0
+    a, b = f, g
+    while True:
+        if b.degree == 0:
+            acc = acc * b.leading**a.degree
+            break
+        r = divrem(a, b)[1]
+        if r.is_zero():
+            return f.leading * 0
+        acc = acc * b.leading ** (a.degree - r.degree)
+        if a.degree % 2 == 1 and b.degree % 2 == 1:
+            sign_flip = not sign_flip
+        a, b = b, r
+    return -acc if sign_flip else acc
+
+
+def element_norm_reference(a: NFElement) -> Fraction:
+    """Field norm of a down to Q as the resultant of the monic defining
+    polynomial with the coordinate polynomial of a, with no determinant."""
+    if a.is_zero():
+        return Fraction(0)
+    return resultant(a.field.min_poly, a.coordinate_poly())
+
+
 def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
     """Norm from K[x] down to Q[x] of a monic f by evaluation and
     interpolation: the resultant of f(a) with the defining polynomial at
-    deg f * [K:Q] + 1 rational points a, then Newton divided differences."""
+    deg f * [K:Q] + 1 rational points a (element_norm_reference), then
+    Newton divided differences."""
     if K.degree == 1:
         return Poly([Fraction(c) for c in f.coeffs])
     xs = [Fraction(0)]
@@ -60,7 +89,7 @@ def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
         xs += [Fraction(v), Fraction(-v)]
         v += 1
     xs = xs[: K.degree * f.degree + 1]
-    coef = [f.evaluate(K.from_rational(x)).norm() for x in xs]
+    coef = [element_norm_reference(f.evaluate(K.from_rational(x))) for x in xs]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])

@@ -151,6 +151,8 @@ def test_parse_errors_exit_4():
         {"ring": "Q"},
         {"ring": "Q", "char_poly": {"coeffs": "nope"}},
         {"ring": "Q", "char_poly": {"coeffs": ["1/0", "1"]}},
+        {"ring": {"min_poly": {"coeffs": 5}}, "char_poly": {"coeffs": ["-9", "1"]}},
+        {"ring": {"min_poly": {"coeffs": "11"}}, "char_poly": {"coeffs": ["-9", "1"]}},
         "not an object",
     ):
         report, code = run_task("rank", payload)
@@ -461,3 +463,18 @@ def test_main_end_to_end(tmp_path, capsys):
     assert code == EXIT_PARSE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "parse_error"
+
+
+@pytest.mark.parametrize("kind", ["invalid_utf8", "long_int_literal"])
+def test_main_unreadable_input_exit_4(tmp_path, capsys, kind):
+    inp = tmp_path / "task.json"
+    if kind == "invalid_utf8":
+        inp.write_bytes(b'{"x0": "\xff\xfe"}')
+    else:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("integer string conversion is not limited")
+        inp.write_text('{"x0": ' + "7" * (limit + 1) + "}")
+    code = main(["degree-bound", "--input", str(inp)])
+    assert code == EXIT_PARSE
+    assert json.loads(capsys.readouterr().out)["status"] == "parse_error"

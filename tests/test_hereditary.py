@@ -31,6 +31,7 @@ from qrank.hereditary import (
 )
 from qrank.numfield import (
     QQ,
+    NFElement,
     Obstruction,
     factor_over_K,
     flatten,
@@ -181,6 +182,31 @@ def test_power_test_reads_the_generator_min_poly(monkeypatch):
     assert calls == []
     assert capelli_obstruction(Qi, shifted) is None
     assert len(calls) == 1
+
+
+def test_power_test_takes_no_element_norm(monkeypatch):
+    # the prefilter norms N(alpha) and N(-alpha/4) come from the minimal
+    # polynomial of alpha
+    calls = []
+    original = NFElement.norm
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(NFElement, "norm", counting)
+    Qi = gaussian_field()
+    i = Qi.gen
+    for K, Q, expected in (
+        (QQ, qpoly(-8, 0, 1), Obstruction.pth_power(3)),  # (sqrt 2)**3
+        (QQ, qpoly(16, 136, 1), Obstruction.minus_four()),  # -4(1 + sqrt 2)**4
+        (QQ, qpoly(-3, 1, 1), None),
+        (Qi, Poly([-(Qi.one + 2 * i), Qi.one]), None),
+        (Qi, Poly([-2 * i, Qi.one]), Obstruction.pth_power(2)),  # (1 + i)**2
+        (Qi, Qi.poly(qpoly(-3, 1, 1).coeffs), None),  # Trager shift 1
+    ):
+        assert capelli_obstruction(K, Q) == expected, Q
+    assert calls == []
 
 
 def test_capelli_cross_checked_by_oracle(monkeypatch):

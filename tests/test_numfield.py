@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    element_norm_reference,
     gaussian_field,
     modular_degree_pattern_ok,
     norm_poly_reference,
@@ -648,6 +649,55 @@ def test_minimal_polynomial():
     assert minimal_polynomial(Q3.from_rational(5)) == qpoly(-5, 1)
     Qi = gaussian_field()
     assert minimal_polynomial(Qi.gen) == qpoly(1, 0, 1)
+
+
+def _scaled(m: Poly, c: Fraction) -> Poly:
+    """The monic defining polynomial m(c*t)/c**d of theta/c, for a root
+    theta of m of degree d."""
+    d = m.degree
+    return Poly([a * c ** (i - d) for i, a in enumerate(m.coeffs)])
+
+
+def test_minimal_polynomial_and_norm_from_characteristic_polynomial():
+    rng = random.Random(34)
+    # non-integral defining polynomials, each with the subfields that the
+    # roots of the listed polynomials generate
+    cases = (
+        (_scaled(qpoly(16, 0, -4, 0, 1), Fraction(3)),  # Q(i, sqrt 3)
+         (qpoly(1, 0, 1), qpoly(-3, 0, 1), qpoly(3, 0, 1))),
+        (_scaled(qpoly(-2, 0, 0, 0, 1), Fraction(2)),  # Q(2**(1/4))
+         (qpoly(-2, 0, 1),)),
+        (_scaled(qpoly(31, 36, 27, -4, 9, 0, 1), Fraction(3, 2)),  # Q(2**(1/3), sqrt -3)
+         (qpoly(3, 0, 1), qpoly(-2, 0, 0, 1))),
+        (qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1), ()),
+    )
+    exponents = set()  # k = [K:Q(a)] for the irrational a drawn
+    for m, subfield_polys in cases:
+        assert any(c.denominator > 1 for c in m.coeffs)
+        K = NumberField(m)
+        gens = [(K.gen, K.degree)]
+        for f in subfield_polys:
+            _, factors = factor_over_K(K, K.poly(f.coeffs))
+            roots = [-w.coeffs[0] for w, _ in factors if w.degree == 1]
+            assert roots, f"{f!r} has no root in {K!r}"
+            gens.append((roots[0], f.degree))
+        elements = [K.zero, K.from_rational(_random_rational(rng) or 1)]
+        for r, deg in gens:
+            for _ in range(4):
+                coeffs = [_random_rational(rng) for _ in range(deg)]
+                elements.append(sum((c * r**j for j, c in enumerate(coeffs)), K.zero))
+        for a in elements:
+            mp = minimal_polynomial(a)
+            assert mp.is_monic()
+            assert mp.evaluate(a) == 0, f"{mp!r} at {a!r}"
+            assert factor_over_Q(mp)[1] == [(mp, 1)], mp
+            assert K.degree % mp.degree == 0
+            k = K.degree // mp.degree
+            assert a.norm() == element_norm_reference(a), a
+            assert a.norm() == ((-1) ** mp.degree * mp.coeffs[0]) ** k, a
+            if not a.is_rational():
+                exponents.add(k)
+    assert exponents == {1, 2, 3}
 
 
 def test_weil_height_examples():
