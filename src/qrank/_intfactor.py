@@ -4,8 +4,13 @@ Zassenhaus recombination.
 Internal module.  Polynomials over Z are lists of Python ints in
 ascending order (index i = coefficient of x**i, no trailing zeros);
 polynomials over GF(p) are numpy int64 arrays in the same layout.
-Degrees here stay in the hundreds, so exhaustive recombination is fine
-and no lattice reduction is needed.
+Recombination is exhaustive, with no lattice reduction, so it is
+bounded by _MAX_SUBSETS subsets per factorization: the Swinnerton-Dyer
+polynomial of degree 64 splits into at least 32 factors modulo every
+prime, and proving it irreducible would take about 2**31 subsets.  The
+prime scan stops at _MAX_P, which keeps every GF(p) product sum, up to
+deg * p**2, inside int64.  Past either bound the factorization raises
+BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from math import ceil, isqrt, log
 
 import numpy as np
 
-from .arith import primes_upto
+from .arith import is_prime
+from .errors import BudgetExceeded
 
 _GF_EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -422,7 +428,10 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
 # ---------------------------------------------------------------------------
 # Zassenhaus
 
-_CANDIDATE_PRIMES = primes_upto(10000)[1:]  # odd primes
+# Bounds of one factorization: recombination subsets tried, and the
+# primes scanned for a good reduction
+_MAX_SUBSETS = 1 << 16
+_MAX_P = 1 << 20
 
 
 def _test_pl(fc: int, q: int, pl: int) -> bool:
@@ -437,7 +446,8 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with lc(f) > 0.
 
     Zassenhaus: factor mod a good small prime, Hensel lift past the
-    Landau-Mignotte bound, recombine subsets exhaustively.
+    Landau-Mignotte bound, recombine subsets exhaustively, at most
+    _MAX_SUBSETS of them.
     """
     f = zz_strip(list(f))
     n = zz_degree(f)
@@ -454,7 +464,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     # compare up to five usable primes below 300; past 300 (the
     # discriminant has swallowed every small prime) take the first one
     candidates = []
-    for p in _CANDIDATE_PRIMES:
+    for p in filter(is_prime, range(3, _MAX_P, 2)):
         if candidates and p > 300:
             break
         if b % p == 0:
@@ -471,7 +481,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         if len(candidates) >= 5:
             break
     if not candidates:
-        raise RuntimeError("no usable prime found for modular factorization")
+        raise BudgetExceeded(f"no usable prime below {_MAX_P} for factoring")
     _, p = min(candidates)
 
     modular = [
@@ -487,9 +497,16 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     factors: list[list[int]] = []
     s = 1
     pl = p**l
+    tried = 0
 
     while 2 * s <= len(T):
         for S in combinations(sorted_T, s):
+            tried += 1
+            if tried > _MAX_SUBSETS:
+                raise BudgetExceeded(
+                    f"recombining {len(g)} modular factors needs more than "
+                    f"{_MAX_SUBSETS} subsets"
+                )
             if b == 1:
                 q = 1
                 for i in S:

@@ -67,10 +67,6 @@ class CompanionPresentation:
     def size(self) -> int:
         return self.char_poly.degree
 
-    @property
-    def sigma_degree(self) -> int:
-        return self.char_poly.degree
-
     def matrix(self) -> CompanionMatrix:
         return companion_of(self.char_poly)
 

@@ -570,8 +570,13 @@ def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
     which fixes s, so at most C(n*d, 2) shifts are bad.  Past that many,
     g is not squarefree and NotIrreducible is raised.  A norm is accepted
     when _certified_squarefree proves it squarefree, else by an exact gcd.
+    When K != Q and every coefficient of g is rational, the search
+    starts at s = 1.
     """
-    for s in range(math.comb(g.degree * K.degree, 2) + 1):
+    # rational g has norm g**[K:Q] at s = 0, which is never squarefree
+    rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
+    first = 1 if rational else 0
+    for s in range(first, math.comb(g.degree * K.degree, 2) + 1):
         gs = g if s == 0 else g.shift(K.gen * Fraction(-s))
         norm = norm_poly(K, gs)
         if (
@@ -611,27 +616,26 @@ def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
 
 @dataclass
 class FlattenedExtension:
-    """L = Q[u]/(g) isomorphic to K(alpha) for a root alpha of Q over K."""
+    """L = Q[u]/(g), isomorphic to K(alpha) for a root alpha of Q over K,
+    and the Trager shift s that gave g: L.gen = alpha + s*theta."""
 
     field: NumberField
     alpha: NFElement
-    embed: Callable[[NFElement], NFElement]
     shift: int
-
-    @property
-    def degree(self) -> int:
-        return self.field.degree
 
 
 def flatten(
     K: NumberField, Q: Poly, trusted: bool = False
 ) -> FlattenedExtension:
-    """Flatten the tower K(alpha)/K/Q for Q irreducible over K.
+    """Flatten the tower K(alpha)/K/Q for Q irreducible over K: the
+    absolute field L and the root alpha of Q in it.
 
     The primitive element is alpha + s*theta for the smallest shift s
     making the Trager norm squarefree; the norm is then irreducible and
-    defines L with [L:Q] = [K:Q] * deg Q.  Callers that already know Q
-    is irreducible pass trusted=True to skip the verification.
+    defines L with [L:Q] = [K:Q] * deg Q.  At s = 0, alpha is L.gen.
+    When deg Q = 1, L is K itself; over K = Q it is Q[u]/(Q).  Callers
+    that already know Q is irreducible pass trusted=True to skip the
+    verification.
     """
     if Q.is_zero() or Q.degree < 1:
         raise NotIrreducible("need a nonconstant polynomial")
@@ -639,17 +643,16 @@ def flatten(
     if not trusted and Q.degree > 1 and not is_irreducible(K, Q):
         raise NotIrreducible(f"{Q!r} is reducible over the base field")
     if Q.degree == 1:
-        alpha = -Q.coeffs[0]
-        return FlattenedExtension(K, alpha, lambda e: e, 0)
+        return FlattenedExtension(K, -Q.coeffs[0], 0)
     if K.degree == 1:
         # irreducibility established above or vouched for by the caller
         L = NumberField(_rational_coeffs(Q), trusted=True)
-        return FlattenedExtension(
-            L, L.gen, lambda e, L=L: L.from_rational(e.as_rational()), 0
-        )
+        return FlattenedExtension(L, L.gen, 0)
     s, _, norm = _trager_shift(K, Q)
     L = NumberField(norm, trusted=True)
     gamma = L.gen
+    if s == 0:
+        return FlattenedExtension(L, gamma, 0)
     # theta's image: the shared root of the defining polynomial of K and
     # of Q with its coefficients rewritten as polynomials in y, evaluated
     # at x = gamma - s*y.  The gcd is linear because the norm is squarefree.
@@ -663,19 +666,7 @@ def flatten(
     if g.degree != 1:
         raise RuntimeError("primitive element gcd was not linear")
     theta_L = -g.coeffs[0]
-    alpha = gamma - theta_L * Fraction(s)
-    powers = [L.one]
-    for _ in range(K.degree - 1):
-        powers.append(powers[-1] * theta_L)
-
-    def embed(e: NFElement) -> NFElement:
-        acc = L.zero
-        for a, pw in zip(e.coords, powers):
-            if a:
-                acc = acc + pw * a
-        return acc
-
-    return FlattenedExtension(L, alpha, embed, s)
+    return FlattenedExtension(L, gamma - theta_L * Fraction(s), s)
 
 
 # ---------------------------------------------------------------------------
@@ -785,11 +776,6 @@ def pth_root_in_field(
     return min(_nth_roots(L, a, p), key=lambda r: r.sort_key(), default=None)
 
 
-def is_pth_power(L: NumberField, a: NFElement, p: int) -> bool:
-    """Whether a is a p-th power in L (see pth_root_in_field)."""
-    return pth_root_in_field(L, a, p) is not None
-
-
 def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
     """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L:
     whether x**4 + a/4 = x**4 - (-a/4) has a root, by _nth_roots."""
@@ -843,14 +829,3 @@ def mahler_measure_upper(int_poly: list[int]) -> float:
     # log(s)/2 <= bit_length(s) * log(2) / 2, rounded outward
     log_norm = s.bit_length() * _LOG2 / 2
     return log_norm / scale * (1 + 1e-12) + 1e-12
-
-
-def weil_height_upper(a: NFElement) -> float:
-    """Certified upper bound on the absolute logarithmic Weil height,
-    from the integer minimal polynomial via root-modulus (Mahler
-    measure) bounds with outward rounding."""
-    if a.is_zero():
-        raise ZeroElement("height of zero is undefined")
-    mp = minimal_polynomial(a)
-    ints = _to_primitive_int(mp)
-    return mahler_measure_upper(ints) / mp.degree

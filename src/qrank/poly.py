@@ -100,20 +100,6 @@ class Poly:
     def derivative(self) -> Poly:
         return Poly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
-    def evaluate(self, x):
-        """Horner evaluation; x may be a scalar or another Poly."""
-        if not self.coeffs:
-            return x * 0
-        acc = self.coeffs[-1]
-        if isinstance(x, Poly):
-            acc = Poly([acc])
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * x + Poly([c])
-            return acc
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
     def shift(self, b) -> Poly:
         """p(x + b) by Horner composition with x + b."""
         if self.is_zero():

@@ -48,6 +48,21 @@ def cyclotomic(n: int) -> Poly:
     return f
 
 
+def evaluate(p: Poly, x):
+    """p(x) by Horner's rule, for a scalar x."""
+    acc = x * 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def roots_in(L: NumberField, f: Poly) -> list[NFElement]:
+    """The roots in L of a polynomial f over Q, read off the linear
+    factors of f over L."""
+    _, factors = factor_over_K(L, L.poly(f.coeffs))
+    return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
+
+
 def resultant(f: Poly, g: Poly):
     """Res(f, g) = lc(f)**deg(g) * prod of g over the roots of f, by the
     Euclidean remainder sequence."""
@@ -89,7 +104,7 @@ def norm_poly_reference(K: NumberField, f: Poly) -> Poly:
         xs += [Fraction(v), Fraction(-v)]
         v += 1
     xs = xs[: K.degree * f.degree + 1]
-    coef = [element_norm_reference(f.evaluate(K.from_rational(x))) for x in xs]
+    coef = [element_norm_reference(evaluate(f, K.from_rational(x))) for x in xs]
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])

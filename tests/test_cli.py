@@ -1,4 +1,5 @@
 import json
+import math
 import signal
 import sys
 import time
@@ -347,6 +348,45 @@ def test_reciprocal_units_finish():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_recombination_budget_stops_swinnerton_dyer():
+    # S_6, the minimal polynomial of sqrt2 + sqrt3 + ... + sqrt13 (degree
+    # 64), splits into at least 32 factors modulo every prime: proving it
+    # irreducible by exhaustive recombination would take about 2**31
+    # subsets, so validate must stop at the budget with exit 3
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    f = x
+    for p in (2, 3, 5, 7, 11, 13):
+        f = sympy.resultant(f.subs(x, x - y), y**2 - p, y)
+    coeffs = [str(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+    assert len(coeffs) == 65
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        report, code = run_task(
+            "validate", {"ring": "Q", "char_poly": {"coeffs": coeffs}}
+        )
+        assert code == EXIT_BUDGET
+        assert report["status"] == "budget_exceeded"
+        assert "32 modular factors" in report["error"]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_factoring_scans_primes_past_10000():
+    # every prime below 10**4 divides a*b, hence the discriminant 4ab of
+    # b x^2 - a: the first prime at which it stays squarefree is 10007
+    primes = primes_upto(10**4)
+    a, b = math.prod(primes[0::2]), math.prod(primes[1::2])
+    report, code = run_task(
+        "oracle",
+        {"field": "Q", "poly": {"coeffs": [f"-{a}/{b}", "0", "1"]}, "n_list": [1]},
+    )
+    assert code == EXIT_OK, report.get("error")
+    assert report["result"]["counts"] == [1]
 
 
 def test_prolong_degree_budget():

@@ -37,7 +37,7 @@ def test_presentation_invariants():
     with pytest.raises(NotMonic):
         pres(7)
     g = pres(-9, 1)
-    assert g.size == 1 and g.sigma_degree == 1
+    assert g.size == 1
 
 
 def test_from_last_row_round_trip():

@@ -36,8 +36,8 @@ from qrank.numfield import (
     factor_over_K,
     flatten,
     in_minus4_fourth_powers,
-    is_pth_power,
     minimal_polynomial,
+    pth_root_in_field,
 )
 from qrank.poly import Poly, gcd, substitute_power
 
@@ -352,7 +352,7 @@ def test_certificates_replayable():
             assert cert.verdict == "hereditarily_irreducible"
             ext = flatten(QQ, cert.base_factor)
             for p in cert.primes_tested:
-                assert not is_pth_power(ext.field, ext.alpha, p)
+                assert pth_root_in_field(ext.field, ext.alpha, p) is None
             assert not in_minus4_fourth_powers(ext.field, ext.alpha)
             assert substitute_power(cert.base_factor, cert.lift_exponent) == (
                 cert.factor

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     element_norm_reference,
+    evaluate,
     gaussian_field,
     modular_degree_pattern_ok,
     norm_poly_reference,
@@ -16,6 +17,7 @@ from helpers import (
     qpoly,
     squarefree_decomposition_reference,
     random_irreducible,
+    roots_in,
     sqrt2_field,
     sqrt3_field,
     sqrtm3_field,
@@ -37,12 +39,11 @@ from qrank.numfield import (
     flatten,
     in_minus4_fourth_powers,
     is_irreducible,
-    is_pth_power,
+    mahler_measure_upper,
     minimal_polynomial,
     norm_poly,
     pth_root_in_field,
     squarefree_decomposition,
-    weil_height_upper,
 )
 from qrank.arith import primes_upto
 from qrank.poly import Poly, divrem, gcd
@@ -466,20 +467,33 @@ def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
     assert primes == [307]
 
 
+def _assert_flattened(K, Q, ext):
+    """Some root theta' of K's defining polynomial in L = ext.field gives
+    L.gen = alpha + s*theta' and Q'(alpha) = 0, where Q' is Q with theta'
+    put for theta in its coefficients."""
+    L, alpha, s = ext.field, ext.alpha, ext.shift
+    for root in roots_in(L, K.min_poly):
+        image = Poly([evaluate(c.coordinate_poly(), root) for c in Q.coeffs])
+        if L.gen == alpha + root * s and evaluate(image, alpha) == 0:
+            return
+    raise AssertionError(f"no root of {K.min_poly!r} in {L!r} fits {Q!r}")
+
+
 def test_flatten_examples():
     ext = flatten(QQ, qpoly(-2, 0, 1))
-    assert ext.degree == 2
+    assert ext.field.degree == 2
     assert ext.field.min_poly == qpoly(-2, 0, 1)
     assert (ext.alpha * ext.alpha) == 2
 
     Qi = gaussian_field()
-    ext = flatten(Qi, Poly([-Qi.gen, Qi.zero, Qi.one]))  # x^2 - i
-    assert ext.degree == 4
+    Q = Poly([-Qi.gen, Qi.zero, Qi.one])  # x^2 - i
+    ext = flatten(Qi, Q)
+    assert ext.field.degree == 4
     assert ext.field.min_poly == qpoly(1, 0, 0, 0, 1)  # u^4 + 1
-    assert ext.alpha * ext.alpha == ext.embed(Qi.gen)
+    _assert_flattened(Qi, Q, ext)
 
     ext = flatten(QQ, qpoly(-5, 1))  # x - 5: degree-1 extension is Q itself
-    assert ext.degree == 1
+    assert ext.field.degree == 1
     assert ext.alpha == 5
 
 
@@ -493,10 +507,15 @@ def test_flatten_rejects_reducible():
 
 def test_flatten_degree_law():
     rng = random.Random(11)
-    fields = [QQ, gaussian_field(), sqrt2_field()]
-    count = 0
-    while count < 15:
-        K = fields[count % 3]
+    Qi, Q2 = gaussian_field(), sqrt2_field()
+    fields = [QQ, Qi, Q2]
+    cases = [
+        (Qi, Poly([Qi.from_rational(3), -Qi.gen, Qi.one])),  # x^2 - i x + 3
+        (Qi, Qi.poly(qpoly(-3, 1, 1).coeffs)),  # rational: s >= 1
+        (Q2, Q2.poly(qpoly(-3, 0, 1).coeffs)),
+    ]
+    while len(cases) < 18:
+        K = fields[len(cases) % 3]
         deg = rng.randint(1, 2)
         coeffs = [
             K.element([Fraction(rng.randint(-4, 4)) for _ in range(K.degree)])
@@ -504,24 +523,60 @@ def test_flatten_degree_law():
         ] + [K.one]
         Q = Poly(coeffs)
         _, factors = factor_over_K(K, Q)
-        if len(factors) != 1 or factors[0][1] != 1:
-            continue
+        if len(factors) == 1 and factors[0][1] == 1:
+            cases.append((K, Q))
+    shifts = set()
+    for K, Q in cases:
         ext = flatten(K, Q)
-        assert ext.degree == K.degree * Q.degree
-        # the flattened root satisfies the embedded polynomial
-        acc = ext.field.zero
-        for c in reversed(Q.coeffs):
-            acc = acc * ext.alpha + ext.embed(c)
-        assert acc.is_zero()
-        count += 1
+        assert ext.field.degree == K.degree * Q.degree
+        if Q.degree == 1:
+            assert ext.field is K and ext.shift == 0
+            assert evaluate(Q, ext.alpha) == 0
+            continue
+        _assert_flattened(K, Q, ext)
+        if K.degree > 1:
+            shifts.add(min(ext.shift, 1))
+    assert shifts == {0, 1}
+
+
+def test_flatten_at_shift_zero_takes_no_gcd(monkeypatch):
+    Qi = gaussian_field()
+    Q = Poly([Qi.from_rational(3), -Qi.gen, Qi.one])  # x^2 - i x + 3
+    calls = []
+    original = numfield.gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(numfield, "gcd", counting)
+    ext = flatten(Qi, Q, trusted=True)
+    assert ext.shift == 0 and ext.alpha == ext.field.gen
+    assert calls == []
+
+
+def test_trager_shift_skips_zero_on_rational_input(monkeypatch):
+    # over Q(i) the norm of x^2 + x - 3 at s = 0 is (x^2 + x - 3)**2
+    Qi = gaussian_field()
+    calls = []
+    original = numfield.norm_poly
+
+    def counting(K, f):
+        calls.append(f)
+        return original(K, f)
+
+    monkeypatch.setattr(numfield, "norm_poly", counting)
+    s, gs, norm = numfield._trager_shift(Qi, Qi.poly(qpoly(-3, 1, 1).coeffs))
+    assert s == 1 and len(calls) == 1
+    assert gcd(norm, norm.derivative()).degree == 0
 
 
 def test_is_pth_power_examples():
     Qi = gaussian_field()
-    assert is_pth_power(QQ, QQ.from_rational(4), 2)
-    assert not is_pth_power(QQ, QQ.from_rational(-4), 2)
-    assert not is_pth_power(Qi, Qi.one + Qi.gen, 2)
-    assert is_pth_power(Qi, Qi.gen * 2, 2)  # (1+i)^2 = 2i
+    assert pth_root_in_field(QQ, QQ.from_rational(4), 2) is not None
+    assert pth_root_in_field(QQ, QQ.from_rational(-4), 2) is None
+    assert pth_root_in_field(Qi, Qi.one + Qi.gen, 2) is None
+    assert pth_root_in_field(Qi, Qi.gen * 2, 2) is not None  # (1+i)^2 = 2i
 
 
 def test_is_pth_power_on_constructed_powers():
@@ -533,12 +588,12 @@ def test_is_pth_power_on_constructed_powers():
         a = K.element([Fraction(rng.randint(-3, 3)) for _ in range(K.degree)])
         if a.is_zero():
             continue
-        assert is_pth_power(K, a**p, p)
+        assert pth_root_in_field(K, a**p, p) is not None
 
 
 def test_is_pth_power_zero_element():
     with pytest.raises(ZeroElement):
-        is_pth_power(QQ, QQ.zero, 2)
+        pth_root_in_field(QQ, QQ.zero, 2)
 
 
 def test_in_minus4_fourth_powers_examples():
@@ -689,7 +744,7 @@ def test_minimal_polynomial_and_norm_from_characteristic_polynomial():
         for a in elements:
             mp = minimal_polynomial(a)
             assert mp.is_monic()
-            assert mp.evaluate(a) == 0, f"{mp!r} at {a!r}"
+            assert evaluate(mp, a) == 0, f"{mp!r} at {a!r}"
             assert factor_over_Q(mp)[1] == [(mp, 1)], mp
             assert K.degree % mp.degree == 0
             k = K.degree // mp.degree
@@ -700,17 +755,25 @@ def test_minimal_polynomial_and_norm_from_characteristic_polynomial():
     assert exponents == {1, 2, 3}
 
 
+def _height_upper(a):
+    """The certified bound on the Weil height of a that the power test
+    uses: mahler_measure_upper of the integer minimal polynomial over its
+    degree."""
+    ints = numfield._to_primitive_int(minimal_polynomial(a))
+    return mahler_measure_upper(ints) / (len(ints) - 1)
+
+
 def test_weil_height_examples():
-    h = weil_height_upper(QQ.from_rational(2))
+    h = _height_upper(QQ.from_rational(2))
     assert math.log(2) <= h <= math.log(2) + 0.01
-    assert 0 <= weil_height_upper(QQ.from_rational(1)) <= 0.01
+    assert 0 <= _height_upper(QQ.from_rational(1)) <= 0.01
     Q3 = sqrt3_field()
     alpha = Q3.from_rational(2) + Q3.gen  # 2 + sqrt3, the large root of x^2-4x+1
     exact = 0.5 * math.log(2 + math.sqrt(3))
-    h = weil_height_upper(alpha)
+    h = _height_upper(alpha)
     assert exact <= h <= exact + 0.01
 
 
 def test_weil_height_zero():
-    with pytest.raises(ZeroElement):
-        weil_height_upper(QQ.zero)
+    # 0 has minimal polynomial x, of Mahler measure 1
+    assert 0 <= _height_upper(QQ.zero) <= 0.01
