@@ -507,26 +507,17 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                     f"recombining {len(g)} modular factors needs more than "
                     f"{_MAX_SUBSETS} subsets"
                 )
-            if b == 1:
-                q = 1
-                for i in S:
-                    q = q * g[i][0]
-                q %= pl
-                if not _test_pl(fc, q, pl):
-                    continue
-                G = [b]
-                for i in S:
-                    G = zz_mul(G, g[i])
-                G = zz_trunc(G, pl)
-            else:
-                G = [b]
-                for i in S:
-                    G = zz_mul(G, g[i])
-                G = zz_trunc(G, pl)
-                G = zz_primitive(G)
-                q = G[0]
-                if q and fc % q != 0:
-                    continue
+            # for a true factor h, b*prod g_i = (b/lc h)*h mod p**l, and
+            # (b/lc h)*h(0) divides b*fc
+            q = b
+            for i in S:
+                q = q * g[i][0]
+            if not _test_pl(b * fc, q % pl, pl):
+                continue
+            G = [b]
+            for i in S:
+                G = zz_mul(G, g[i])
+            G = zz_primitive(zz_trunc(G, pl))
 
             Sset = set(S)
             T_S = T - Sset
@@ -539,7 +530,6 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             if zz_l1(G) * zz_l1(H) <= B:
                 T = T_S
                 sorted_T = [i for i in sorted_T if i not in Sset]
-                G = zz_primitive(G)
                 f = zz_primitive(H)
                 factors.append(G)
                 b = f[-1]

@@ -97,17 +97,6 @@ def factor_integer(n: int) -> FactorMap:
     return out
 
 
-def exponent_vector(x: Fraction | int) -> dict[int, int]:
-    """Signed prime exponents of a positive rational: x = prod p**e_p."""
-    x = Fraction(x)
-    if x <= 0:
-        raise NonPositive(f"exponent_vector requires x > 0, got {x}")
-    out: dict[int, int] = dict(factor_integer(x.numerator))
-    for p, e in factor_integer(x.denominator).items():
-        out[p] = out.get(p, 0) - e
-    return {p: e for p, e in out.items() if e != 0}
-
-
 def integer_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0 (integer Newton, no floats)."""
     if n < 0:

@@ -188,6 +188,14 @@ def run_task(command: str, payload) -> tuple[dict, int]:
         return report, EXIT_INTERNAL
 
 
+def _parse_error(error: object) -> dict:
+    return {
+        "engine_version": __version__,
+        "status": "parse_error",
+        "error": str(error),
+    }
+
+
 def run_batch(tasks) -> tuple[dict, int]:
     if isinstance(tasks, dict):
         command = tasks.get("command")
@@ -207,12 +215,7 @@ def run_batch(tasks) -> tuple[dict, int]:
             reports.append(rep)
             code = code or c
         return {"engine_version": __version__, "reports": reports}, code
-    report = {
-        "engine_version": __version__,
-        "status": "parse_error",
-        "error": "task file must be an object or a list",
-    }
-    return report, EXIT_PARSE
+    return _parse_error("task file must be an object or a list"), EXIT_PARSE
 
 
 def render_human(report: dict) -> str:
@@ -278,24 +281,25 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         # ValueError covers JSONDecodeError, invalid UTF-8 and integer
         # literals past the interpreter's digit limit
-        report = {
-            "engine_version": __version__,
-            "status": "parse_error",
-            "error": str(exc),
-        }
-        code = EXIT_PARSE
+        report, code = _parse_error(exc), EXIT_PARSE
     else:
         if args.command == "run":
             report, code = run_batch(payload)
         else:
             report, code = run_task(args.command, payload)
 
-    text = render_human(report) if args.human else dump_report(report, args.pretty)
+    def render(report: dict) -> str:
+        return render_human(report) if args.human else dump_report(report, args.pretty)
+
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(render(report))
+        except OSError as exc:
+            sys.stderr.write(render(_parse_error(exc)))
+            return EXIT_PARSE
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render(report))
     return code
 
 

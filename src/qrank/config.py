@@ -2,8 +2,11 @@
 
 QRANK_MAX_DEGREE caps the degree of every polynomial the engine factors
 or builds: P itself, before its first factorization (validation,
-hereditary search), and every P(x**n) (hereditary search, reduct ranks,
-prolongation, oracles).  check_degree is the one place that reads it.
+hereditary search), and every P(x**n), which poly.substitute_power checks
+before it builds it (hereditary search, power test, reduct ranks,
+prolongation, oracles, eigenvalue compatibility).  The hereditary
+worklist also bounds P(x**acc) before each split and before its lift.
+check_degree is the one place that reads it.
 QRANK_MAX_PRIME caps the prime search of the power-obstruction test.
 Exceeding either is always a loud BudgetExceeded, never a silent pass; a
 value that is not an integer >= 1 is a ParseError naming the variable.

@@ -126,14 +126,13 @@ def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:
     """Presentation of the same group for the n-th compositional root:
     the companion matrix of P(x**n), with the structural law that entry
     (mn, (j-1)n+1) is the original last-row entry c_j and the rest of
-    the last row vanishes.  The degree m*n is held to the degree cap
-    (config.check_degree) before P(x**n) is built."""
+    the last row vanishes.  substitute_power holds the degree m*n to the
+    degree cap before P(x**n) is built."""
     if n < 1:
         raise ValueError(f"prolongation exponent must be >= 1, got {n}")
     if n == 1:
         return g
     m = g.size
-    config.check_degree(m, n)
     new_poly = substitute_power(g.char_poly, n)
     out = CompanionPresentation(g.ring, new_poly, g.ambient)
     old_row = g.matrix().last_row
@@ -186,7 +185,8 @@ def eigenvalue_compatible(
 ) -> bool:
     """Whether every eigenvalue of a size-r matrix with characteristic
     polynomial `candidate` powers (by n) into an eigenvalue of M:
-    equivalently squarefree_part(candidate) divides P(x**n)."""
+    equivalently squarefree_part(candidate) divides P(x**n), which
+    substitute_power holds to the degree cap."""
     if candidate.is_zero():
         raise ZeroPolynomial("candidate characteristic polynomial is zero")
     if n < 1:
@@ -202,12 +202,11 @@ def subgroup_degree_spectrum(g: CompanionPresentation, n: int) -> list[int]:
     P(x**n) over the ring: the possible dimensions of minimal
     subgroups definable in the n-th root signature.  The singleton
     {m*n} means no proper minimal subgroup exists at this n.  P is
-    validated first (validate holds it to the degree cap), then the
-    degree m*n of P(x**n) is checked against the cap."""
+    validated first (validate holds it to the degree cap), then
+    substitute_power holds the degree m*n of P(x**n) to the cap."""
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
     _require_valid(g)
-    config.check_degree(g.size, n)
     _, factors = factor_over_K(g.ring, substitute_power(g.char_poly, n))
     out: list[int] = []
     for f, m in factors:

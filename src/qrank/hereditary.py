@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import config
@@ -112,25 +112,15 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
 
 
 @dataclass(frozen=True)
-class PowerTestRecord:
-    """Outcome of the full obstruction scan for one irreducible factor."""
-
-    prime_bound: int
-    primes_tested: tuple[int, ...]
-    minus_four_tested: bool
-    obstruction: Obstruction | None
-
-
-@dataclass(frozen=True)
 class HereditaryCertificate:
     """Per-factor evidence.
 
     For an irreducible verdict: every prime up to prime_bound was tested
     (the listed ones needed a field computation) and the minus-four test
-    failed.  For an obstructed verdict the witnessed split of
-    factor(x**e) is stored.  The lift exponent says which power of x
-    turned the tested base factor into the reported one; heredity is
-    preserved by that substitution.
+    failed.  For an obstructed verdict capelli_certificate stores the
+    witnessed split of factor(x**e).  The lift exponent says which power
+    of x turned the tested base factor into the reported one; heredity
+    is preserved by that substitution.
     """
 
     factor: Poly
@@ -194,9 +184,27 @@ def _height_floor(dL: int, deg_alpha: int, alpha_reciprocal: bool) -> float:
     return best
 
 
-def _rational_power_record(r: Fraction) -> PowerTestRecord:
-    """Exact obstruction scan for a rational root: r can be a p-th power
-    only for primes p dividing the perfect-power exponent g of |r|."""
+def _certificate(
+    Q: Poly, bound: int, tested: list[int], obstruction: Obstruction | None
+) -> HereditaryCertificate:
+    """Q's certificate from an obstruction scan.  A scan that finds a
+    p-th power stops before the minus-four test, so minus_four_tested is
+    False exactly then."""
+    return HereditaryCertificate(
+        factor=Q,
+        verdict="hereditarily_irreducible" if obstruction is None else "obstructed",
+        prime_bound=bound,
+        primes_tested=tuple(tested),
+        minus_four_tested=obstruction is None or obstruction.kind == "minus_four",
+        obstruction=obstruction,
+        base_factor=Q,
+    )
+
+
+def _rational_power_test(Q: Poly, r: Fraction) -> HereditaryCertificate:
+    """Exact obstruction scan for Q with a rational root r: r can be a
+    p-th power only for primes p dividing the perfect-power exponent g
+    of |r|."""
     assert r not in (0, 1, -1)
     g = perfect_power_exponent(abs(r))
     tested = []
@@ -207,16 +215,17 @@ def _rational_power_record(r: Fraction) -> PowerTestRecord:
         if r < 0 and p % 2 == 0:
             continue
         if rational_nth_root(r, p) is not None:
-            return PowerTestRecord(g, tuple(tested), False, Obstruction.pth_power(p))
+            return _certificate(Q, g, tested, Obstruction.pth_power(p))
     obstruction = None
     if r < 0 and rational_nth_root(-r / 4, 4) is not None:
         obstruction = Obstruction.minus_four()
-    return PowerTestRecord(g, tuple(tested), True, obstruction)
+    return _certificate(Q, g, tested, obstruction)
 
 
-def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
-    """Obstruction scan for an irreducible factor Q over K; preconditions
-    (irreducible, Q(0) != 0, no root-of-unity roots) are the caller's.
+def _power_test(K: NumberField, Q: Poly) -> HereditaryCertificate:
+    """Obstruction scan for an irreducible factor Q over K, as Q's
+    certificate with no witnessed split; preconditions (irreducible,
+    Q(0) != 0, no root-of-unity roots) are the caller's.
 
     The norms of the prefilters come from the minimal polynomial mp of
     alpha, with no element norm: the characteristic polynomial of alpha
@@ -227,7 +236,7 @@ def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
     if L.degree == 1:
-        return _rational_power_record(alpha.as_rational())
+        return _rational_power_test(Q, alpha.as_rational())
 
     # flatten returns alpha = L.gen over Q and at Trager shift 0
     mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
@@ -250,16 +259,26 @@ def _power_test(K: NumberField, Q: Poly) -> PowerTestRecord:
         if rational_nth_root(norm_alpha, p) is None:
             continue
         if pth_root_in_field(L, alpha, p) is not None:
-            return PowerTestRecord(
-                bound, tuple(tested), False, Obstruction.pth_power(p)
-            )
+            return _certificate(Q, bound, tested, Obstruction.pth_power(p))
     obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
     norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
     if norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
         if in_minus4_fourth_powers(L, alpha):
             obstruction = Obstruction.minus_four()
-    return PowerTestRecord(bound, tuple(tested), True, obstruction)
+    return _certificate(Q, bound, tested, obstruction)
+
+
+def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
+    """The factors over K, with multiplicity, of Q(x**e) for an
+    obstructed certificate of Q with exponent e; the obstruction
+    guarantees at least two."""
+    Q, e = cert.factor, cert.obstruction.exponent
+    _, split = factor_over_K(K, substitute_power(Q, e))
+    out = [w for w, m in split for _ in range(m)]
+    if len(out) < 2:
+        raise RuntimeError("obstruction did not split the factor")
+    return out
 
 
 def _check_preconditions(K: NumberField, Q: Poly) -> None:
@@ -291,28 +310,10 @@ def capelli_certificate(K: NumberField, Q: Poly) -> HereditaryCertificate:
     """Like capelli_obstruction but returns the full evidence record,
     including the witnessed split when obstructed."""
     _check_preconditions(K, Q)
-    Qm = Q.monic()
-    rec = _power_test(K, Qm)
-    if rec.obstruction is None:
-        return HereditaryCertificate(
-            factor=Qm,
-            verdict="hereditarily_irreducible",
-            prime_bound=rec.prime_bound,
-            primes_tested=rec.primes_tested,
-            base_factor=Qm,
-        )
-    e = rec.obstruction.exponent
-    _, split = factor_over_K(K, substitute_power(Qm, e))
-    return HereditaryCertificate(
-        factor=Qm,
-        verdict="obstructed",
-        prime_bound=rec.prime_bound,
-        primes_tested=rec.primes_tested,
-        minus_four_tested=rec.minus_four_tested,
-        obstruction=rec.obstruction,
-        witnessed_split=tuple(w for w, _ in split),
-        base_factor=Qm,
-    )
+    cert = _power_test(K, Q.monic())
+    if cert.obstruction is None:
+        return cert
+    return replace(cert, witnessed_split=tuple(_split(K, cert)))
 
 
 def hereditary_factorization(
@@ -329,57 +330,42 @@ def hereditary_factorization(
 
     The degree cap is checked for P before it is factored, for
     P(x**(acc*e)) before each obstruction split, and for P(x**N) before
-    the lift.
+    the lift; substitute_power holds each polynomial it builds to the
+    cap as well.
     """
     _check_preconditions(K, P)
     P = K.poly(P.coeffs).monic()
     base_deg = P.degree
 
     queue: list[tuple[Poly, int]] = [(P, 1)]
-    terminal: list[tuple[Poly, int, PowerTestRecord]] = []
+    terminal: list[tuple[int, HereditaryCertificate]] = []
     while queue:
         Q, acc = queue.pop(0)
-        rec = _power_test(K, Q)
-        if rec.obstruction is None:
-            terminal.append((Q, acc, rec))
+        cert = _power_test(K, Q)
+        if cert.obstruction is None:
+            terminal.append((acc, cert))
             continue
-        e = rec.obstruction.exponent
-        new_acc = acc * e
+        new_acc = acc * cert.obstruction.exponent
         config.check_degree(base_deg, new_acc)
-        _, split = factor_over_K(K, substitute_power(Q, e))
-        if sum(m for _, m in split) < 2:
-            raise RuntimeError("obstruction did not split the factor")
-        for w, mult in split:
-            for _ in range(mult):
-                queue.append((w, new_acc))
+        queue.extend((w, new_acc) for w in _split(K, cert))
 
-    N = 1
-    for _, acc, _ in terminal:
-        N = N * acc // math.gcd(N, acc)
+    N = math.lcm(*(acc for acc, _ in terminal))
     config.check_degree(base_deg, N)
 
-    lifted: list[tuple[Poly, HereditaryCertificate]] = []
-    for Q, acc, rec in terminal:
-        j = N // acc
-        F = substitute_power(Q, j)
-        lifted.append(
-            (
-                F,
-                HereditaryCertificate(
-                    factor=F,
-                    verdict="hereditarily_irreducible",
-                    prime_bound=rec.prime_bound,
-                    primes_tested=rec.primes_tested,
-                    base_factor=Q,
-                    lift_exponent=j,
-                ),
+    lifted = sorted(
+        (
+            replace(
+                cert,
+                factor=substitute_power(cert.factor, N // acc),
+                lift_exponent=N // acc,
             )
-        )
-    lifted.sort(key=lambda fc: poly_key(fc[0]))
-
+            for acc, cert in terminal
+        ),
+        key=lambda c: poly_key(c.factor),
+    )
     product = Poly([K.one])
-    for F, _ in lifted:
-        product = product * F
+    for c in lifted:
+        product = product * c.factor
     if product != substitute_power(P, N):
         raise RuntimeError("internal error: factor product mismatch")
 
@@ -387,8 +373,8 @@ def hereditary_factorization(
         field=K,
         input=P,
         N=N,
-        factors=tuple(F for F, _ in lifted),
-        certificates=tuple(c for _, c in lifted),
+        factors=tuple(c.factor for c in lifted),
+        certificates=tuple(lifted),
     )
 
 
@@ -398,15 +384,14 @@ def oracle_factor_counts(
     """Number of irreducible factors (with multiplicity) of P(x**n) over
     K for each n, computed solely by direct factorization.  This is the
     brute-force cross-check for the obstruction machinery; it has no
-    preconditions beyond the degree cap, checked for each n before
-    P(x**n) is built."""
+    preconditions beyond the degree cap, which substitute_power checks
+    for each n before P(x**n) is built."""
     if P.is_zero():
         raise ZeroPolynomial("oracle on the zero polynomial")
     out = []
     for n in n_list:
         if n < 1:
             raise ValueError(f"substitution exponent must be >= 1, got {n}")
-        config.check_degree(P.degree, n)
         _, factors = factor_over_K(K, substitute_power(P, n))
         out.append(sum(m for _, m in factors))
     return out

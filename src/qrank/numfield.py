@@ -20,7 +20,7 @@ from .errors import (
     ZeroElement,
     ZeroPolynomial,
 )
-from .poly import Poly, divrem, gcd, sorted_factors
+from .poly import Poly, divrem, gcd, sorted_factors, substitute_power
 
 
 class NumberField:
@@ -758,11 +758,12 @@ def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
     GF(l), so such a prime proves there is none (Lang, Algebra, VI
     section 8; Neukirch, Algebraic Number Theory, VII section 13).
     Otherwise x**n - b is factored over L and the roots are read off its
-    linear factors, so the answer does not depend on the sieve.
+    linear factors, so the answer does not depend on the sieve.  x**n - b
+    is built by substitute_power, which holds n to the degree cap.
     """
     if _residue_sieve_rejects(L, b, n):
         return []
-    _, factors = factor_over_K(L, Poly([-b] + [L.zero] * (n - 1) + [L.one]))
+    _, factors = factor_over_K(L, substitute_power(Poly([-b, L.one]), n))
     return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import config
 from .errors import BothZero, DivisionByZero, NotMonic, ZeroPolynomial
 
 
@@ -174,9 +175,13 @@ def gcd(p: Poly, q: Poly) -> Poly:
 
 
 def substitute_power(p: Poly, n: int) -> Poly:
-    """p(x**n); interleaves n-1 zeros between consecutive coefficients."""
+    """p(x**n); interleaves n-1 zeros between consecutive coefficients.
+
+    The degree of p(x**n) is held to the degree cap before anything is
+    built: this is the one check every P(x**n) of the engine passes."""
     if n < 1:
         raise ValueError(f"substitute_power requires n >= 1, got {n}")
+    config.check_degree(p.degree, n)
     if n == 1 or p.is_zero():
         return p
     zero = _zero_like(p.coeffs[0])

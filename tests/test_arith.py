@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrank.arith import (
-    exponent_vector,
     factor_integer,
     is_prime,
     perfect_power_exponent,
@@ -43,37 +42,6 @@ def test_factor_integer_round_trip_exhaustive():
 def test_factor_integer_large_semiprime():
     n = 1000003 * 1000033
     assert factor_integer(n) == {1000003: 1, 1000033: 1}
-
-
-def test_exponent_vector_known_values():
-    assert exponent_vector(9) == {3: 2}
-    assert exponent_vector(Fraction(64, 729)) == {2: 6, 3: -6}
-    assert exponent_vector(1) == {}
-
-
-def test_exponent_vector_rejects_nonpositive():
-    with pytest.raises(NonPositive):
-        exponent_vector(0)
-    with pytest.raises(NonPositive):
-        exponent_vector(Fraction(-3, 7))
-
-
-_small_positive_fractions = st.builds(
-    Fraction,
-    st.integers(min_value=1, max_value=400),
-    st.integers(min_value=1, max_value=400),
-)
-
-
-@given(_small_positive_fractions, _small_positive_fractions)
-@settings(max_examples=150, deadline=None)
-def test_exponent_vector_additive(x, y):
-    lhs = exponent_vector(x * y)
-    rhs: dict[int, int] = dict(exponent_vector(x))
-    for p, e in exponent_vector(y).items():
-        rhs[p] = rhs.get(p, 0) + e
-    rhs = {p: e for p, e in rhs.items() if e}
-    assert lhs == rhs
 
 
 def test_rational_nth_root_known_values():
@@ -136,6 +104,7 @@ def test_perfect_power_exponent_is_gcd_of_exponents(a, b, n):
     if x == 1:
         return
     g = 0
-    for e in exponent_vector(x).values():
-        g = math.gcd(g, e)
+    for part in (x.numerator, x.denominator):
+        for e in factor_integer(part).values():
+            g = math.gcd(g, e)
     assert perfect_power_exponent(x) == g

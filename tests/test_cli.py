@@ -411,6 +411,31 @@ def test_prolong_degree_budget():
     assert len(report["result"]["last_row"]) == 256
 
 
+def test_power_test_radical_degree_budget():
+    # alpha = (1+2i)**257 passes the norm filter at p = 257 and is a 257-th
+    # power, so the power test would factor x**257 - alpha over Q(i),
+    # past the default cap of 256
+    re, im = 1, 0
+    for _ in range(257):
+        re, im = re - 2 * im, 2 * re + im
+    payload = {
+        "ring": {"min_poly": {"coeffs": ["1", "0", "1"]}},
+        "char_poly": {"coeffs": [[str(-re), str(-im)], ["1", "0"]]},
+    }
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        report, code = run_task("rank", payload)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_BUDGET
+        assert report["status"] == "budget_exceeded"
+        assert report["error"] == "P(x**257) would have degree 257, cap is 256"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_degree_cap_is_checked_before_factoring_P(monkeypatch):
     # x**512 + 2x + 2 is Eisenstein at 2, hence irreducible; its degree is
     # past the default cap of 256, so it must be refused before anything
@@ -503,6 +528,19 @@ def test_main_end_to_end(tmp_path, capsys):
     assert code == EXIT_PARSE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["status"] == "parse_error"
+
+
+def test_main_unwritable_output_exit_4(tmp_path, capsys):
+    inp = tmp_path / "task.json"
+    inp.write_text('{"x0": "9"}')
+    out = tmp_path / "missing" / "report.json"
+    code = main(["degree-bound", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["status"] == "parse_error"
+    assert str(out) in report["error"]
 
 
 @pytest.mark.parametrize("kind", ["invalid_utf8", "long_int_literal"])

@@ -154,6 +154,14 @@ def test_eigenvalue_compatible_examples():
         eigenvalue_compatible(Poly(()), g, 2)
 
 
+def test_eigenvalue_compatible_degree_budget():
+    # P(x**300) has degree 300, past the default cap of 256
+    g = pres(-2, 1)
+    assert eigenvalue_compatible(qpoly(-2, 1), g, 1)
+    with pytest.raises(BudgetExceeded):
+        eigenvalue_compatible(qpoly(-2, 1), g, 300)
+
+
 def test_eigenvalue_compatible_squarefree_normalization():
     g = pres(-9, 1)
     # (x-3)^2 has the same root set as x-3

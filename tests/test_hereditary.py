@@ -1,7 +1,9 @@
 import functools
 import math
 import random
+import signal
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,6 +259,29 @@ def test_hereditary_budget(monkeypatch):
     monkeypatch.setenv("QRANK_MAX_DEGREE", "4")
     with pytest.raises(BudgetExceeded):
         hereditary_factorization(QQ, qpoly(-16, 1))
+
+
+class _Expired(BaseException):
+    """Raised by the alarm."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+def test_capelli_certificate_degree_budget():
+    # 2**257 is a 257-th power, so the witnessed split is that of
+    # x**257 - 2**257, of degree 257, past the default cap of 256
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="degree 257, cap is 256"):
+            capelli_certificate(QQ, qpoly(-(2**257), 1))
+        assert time.perf_counter() - start < 5.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_oracle_examples():

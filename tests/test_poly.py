@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import qpoly
-from qrank.errors import BothZero, DivisionByZero, NotMonic, ZeroPolynomial
+from qrank.errors import (
+    BothZero,
+    BudgetExceeded,
+    DivisionByZero,
+    NotMonic,
+    ZeroPolynomial,
+)
 from qrank.poly import (
     CompanionMatrix,
     Poly,
@@ -78,6 +84,16 @@ def test_substitute_power_examples():
     assert substitute_power(qpoly(1, 0, 1), 3) == qpoly(1, 0, 0, 0, 0, 0, 1)
     p = qpoly(3, 2, 1)
     assert substitute_power(p, 1) == p
+
+
+def test_substitute_power_checks_degree_cap(monkeypatch):
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "10")
+    p = qpoly(1, 0, 1)
+    assert substitute_power(p, 5).degree == 10
+    with pytest.raises(BudgetExceeded, match=r"^P\(x\*\*6\) would have degree 12, cap is 10$"):
+        substitute_power(p, 6)
+    with pytest.raises(BudgetExceeded):
+        substitute_power(Poly([Fraction(1)] * 12), 1)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
