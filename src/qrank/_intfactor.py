@@ -4,6 +4,9 @@ Zassenhaus recombination.
 Internal module.  Polynomials over Z are lists of Python ints in
 ascending order (index i = coefficient of x**i, no trailing zeros);
 polynomials over GF(p) are numpy int64 arrays in the same layout.
+zz_divmod is the engine's one division in Z[x]: besides the Hensel
+steps, numfield.norm_poly divides by its Bareiss pivots with it and
+hereditary.has_root_of_unity_root by the cyclotomic polynomials.
 Recombination is exhaustive, with no lattice reduction, so it is
 bounded by _MAX_SUBSETS subsets per factorization: the Swinnerton-Dyer
 polynomial of degree 64 splits into at least 32 factors modulo every
@@ -66,16 +69,22 @@ def zz_mul(f: list[int], g: list[int]) -> list[int]:
     return zz_strip(out)
 
 
-def zz_divmod_monic(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
-    """Division by a monic divisor; exact over Z."""
+def zz_divmod(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by h in Z[x].  Each step divides the
+    top coefficient by lc(h), which is exact when h is monic (Hensel
+    steps, the cyclotomic test) or when h divides f (the Bareiss pivots
+    of numfield.norm_poly)."""
     dh = zz_degree(h)
     if zz_degree(f) < dh:
         return [], list(f)
+    lc = h[-1]
     rem = list(f)
     quot = [0] * (len(f) - dh)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + dh]
         if c:
+            if lc != 1:
+                c //= lc
             quot[i] = c
             for j, b in enumerate(h):
                 rem[i + j] -= c * b
@@ -222,31 +231,28 @@ def gf_roots(f: np.ndarray, p: int) -> list[int]:
     return roots
 
 
-def _berlekamp_matrix(f: np.ndarray, p: int) -> np.ndarray:
-    """Rows are x**(i*p) mod f for i = 0..n-1."""
+def _berlekamp_kernel(f: np.ndarray, p: int) -> list[np.ndarray]:
+    """Basis of the kernel of Q - I over GF(p), for the monic f of degree
+    n >= 2 and its Berlekamp matrix Q, whose rows are x**(i*p) mod f for
+    i = 0..n-1.  For a squarefree f the basis has one vector per
+    irreducible factor."""
     n = f.size - 1
-    rows = np.zeros((n, n), dtype=np.int64)
-    rows[0, 0] = 1
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[0, 0] = 1
     xp = gf_pow_mod(np.array([0, 1], dtype=np.int64), p, f, p)
-    cur = np.zeros(1, dtype=np.int64)
-    cur[0] = 1
+    cur = np.ones(1, dtype=np.int64)
     for i in range(1, n):
         cur = gf_rem(gf_mul(cur, xp, p), f, p)
-        rows[i, : cur.size] = cur
-    return rows
-
-
-def _gf_nullspace(M: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace of M over GF(p)."""
-    M = M.copy() % p
-    nrows, ncols = M.shape
+        Q[i, : cur.size] = cur
+    # the right nullspace of M = Q^T - I, by Gauss-Jordan elimination
+    M = (Q.T - np.eye(n, dtype=np.int64)) % p
     pivots: dict[int, int] = {}
     row = 0
-    for col in range(ncols):
-        if row >= nrows:
+    for col in range(n):
+        if row >= n:
             break
         sel = -1
-        for rr in range(row, nrows):
+        for rr in range(row, n):
             if M[rr, col]:
                 sel = rr
                 break
@@ -263,10 +269,10 @@ def _gf_nullspace(M: np.ndarray, p: int) -> list[np.ndarray]:
         pivots[col] = row
         row += 1
     basis = []
-    for fc in range(ncols):
+    for fc in range(n):
         if fc in pivots:
             continue
-        v = np.zeros(ncols, dtype=np.int64)
+        v = np.zeros(n, dtype=np.int64)
         v[fc] = 1
         for c, rr in pivots.items():
             v[c] = (-int(M[rr, fc])) % p
@@ -279,9 +285,7 @@ def gf_factor_count(f: np.ndarray, p: int) -> int:
     n = f.size - 1
     if n <= 1:
         return n
-    Q = _berlekamp_matrix(f, p)
-    M = (Q.T - np.eye(n, dtype=np.int64)) % p
-    return len(_gf_nullspace(M, p))
+    return len(_berlekamp_kernel(f, p))
 
 
 def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
@@ -294,9 +298,7 @@ def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
     n = f.size - 1
     if n <= 1:
         return [f] if n == 1 else []
-    Q = _berlekamp_matrix(f, p)
-    M = (Q.T - np.eye(n, dtype=np.int64)) % p
-    basis = _gf_nullspace(M, p)
+    basis = _berlekamp_kernel(f, p)
     r = len(basis)
     factors = [f]
     if r == 1:
@@ -341,7 +343,7 @@ def _hensel_step(m, f, g, h, s, t):
 
     e = zz_trunc(zz_sub(f, zz_mul(g, h)), M)
 
-    q, r = zz_divmod_monic(zz_mul(s, e), h)
+    q, r = zz_divmod(zz_mul(s, e), h)
     q = zz_trunc(q, M)
     r = zz_trunc(r, M)
 
@@ -352,7 +354,7 @@ def _hensel_step(m, f, g, h, s, t):
     u = zz_add(zz_mul(s, G), zz_mul(t, H))
     b = zz_trunc(zz_sub(u, [1]), M)
 
-    c, d = zz_divmod_monic(zz_mul(s, b), H)
+    c, d = zz_divmod(zz_mul(s, b), H)
     c = zz_trunc(c, M)
     d = zz_trunc(d, M)
 

@@ -42,10 +42,9 @@ def max_prime() -> int:
 
 
 def check_degree(m: int, n: int) -> None:
-    """BudgetExceeded when P(x**n), for P of degree m, would pass the
-    degree cap; n = 1 checks P itself."""
+    """BudgetExceeded when f(x**n), for f of degree m, would pass the
+    degree cap; n = 1 checks f itself.  The message names the degrees,
+    not f, which may be P or the x**n - b of the power test."""
     cap = max_degree()
     if m * n > cap:
-        raise BudgetExceeded(
-            f"P(x**{n}) would have degree {m * n}, cap is {cap}"
-        )
+        raise BudgetExceeded(f"degree {m * n} ({m} * {n}) is past the cap {cap}")

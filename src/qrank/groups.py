@@ -16,14 +16,19 @@ from .errors import (
     ZeroPolynomial,
 )
 from .hereditary import has_root_of_unity_root, hereditary_factorization
-from .numfield import NFElement, NumberField, factor_over_K, is_irreducible
+from .numfield import (
+    NFElement,
+    NumberField,
+    factor_over_K,
+    is_irreducible,
+    squarefree_decomposition,
+)
 from .poly import (
     CompanionMatrix,
     Poly,
     charpoly_of,
     companion_of,
     divides,
-    squarefree_part,
     substitute_power,
 )
 
@@ -185,7 +190,8 @@ def eigenvalue_compatible(
 ) -> bool:
     """Whether every eigenvalue of a size-r matrix with characteristic
     polynomial `candidate` powers (by n) into an eigenvalue of M:
-    equivalently squarefree_part(candidate) divides P(x**n), which
+    equivalently the squarefree part of candidate, the product of the
+    parts of its squarefree_decomposition, divides P(x**n), which
     substitute_power holds to the degree cap."""
     if candidate.is_zero():
         raise ZeroPolynomial("candidate characteristic polynomial is zero")
@@ -193,7 +199,9 @@ def eigenvalue_compatible(
         raise ValueError(f"power must be >= 1, got {n}")
     if not all(isinstance(c, NFElement) for c in candidate.coeffs):
         candidate = g.ring.poly(candidate.coeffs)
-    sqf = squarefree_part(candidate)
+    sqf = g.ring.poly([1])
+    for part, _ in squarefree_decomposition(candidate.monic()):
+        sqf = sqf * part
     return divides(sqf, substitute_power(g.char_poly, n))
 
 

@@ -60,7 +60,7 @@ from .poly import Poly, poly_key, substitute_power
 
 # after .numfield, which loads numpy through _intfactor: loading numpy
 # from here, earlier, raises the peak memory of `import qrank` by 0.7 MiB
-from ._intfactor import zz_divmod_monic
+from ._intfactor import zz_divmod
 
 # Height floor constants, all rounded down so prime bounds round up.
 _LOG_2_DOWN = 0.6931  # heights of rationals other than 0, +-1
@@ -75,7 +75,7 @@ def _cyclotomic_ints(n: int) -> tuple[int, ...]:
     f = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            f = zz_divmod_monic(f, _cyclotomic_ints(d))[0]
+            f = zz_divmod(f, _cyclotomic_ints(d))[0]
     return tuple(f)
 
 
@@ -106,7 +106,7 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
     for n in range(1, 2 * D * D + 1):
         if phi[n] > D:
             continue
-        if not zz_divmod_monic(f, _cyclotomic_ints(n))[1]:
+        if not zz_divmod(f, _cyclotomic_ints(n))[1]:
             return True
     return False
 
@@ -127,10 +127,10 @@ class HereditaryCertificate:
     verdict: str  # "hereditarily_irreducible" | "obstructed"
     prime_bound: int
     primes_tested: tuple[int, ...]
+    base_factor: Poly
     minus_four_tested: bool = True
     obstruction: Obstruction | None = None
     witnessed_split: tuple[Poly, ...] | None = None
-    base_factor: Poly | None = None
     lift_exponent: int = 1
 
 

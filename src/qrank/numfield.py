@@ -46,17 +46,10 @@ class NumberField:
         self.degree = d
         # t**(d+i) mod m for i = 0..d-2, as coordinate rows
         rows = []
-        if d > 1:
-            cur = [-c for c in coeffs[:d]]
+        cur = [Fraction(0)] * (d - 1) + [Fraction(1)]
+        for _ in range(d - 1):
+            cur = _times_gen(cur, coeffs)
             rows.append(tuple(cur))
-            for _ in range(d - 2):
-                nxt = [Fraction(0)] + cur[: d - 1]
-                top = cur[d - 1]
-                if top:
-                    for i in range(d):
-                        nxt[i] += top * -coeffs[i]
-                cur = nxt
-                rows.append(tuple(cur))
         self._red_rows = tuple(rows)
         gen_coords = [Fraction(0)] * d
         if d == 1:
@@ -485,13 +478,10 @@ def norm_poly(K: NumberField, f: Poly) -> Poly:
     # cols[j][i]: coordinates of f_i * theta**j
     cols: list[list[list[Fraction]]] = [[] for _ in range(d)]
     for c in K.poly(f.coeffs).coeffs:
-        v = list(c.coords)
+        v = c.coords
         for col in cols:
             col.append(v)
-            top = v[-1]
-            v = [0] + v[:-1]
-            if top:
-                v = [x - top * y for x, y in zip(v, m)]
+            v = _times_gen(v, m)
     den = math.lcm(*(x.denominator for col in cols for v in col for x in v))
     a = [
         [zz.zz_strip([v[r].numerator * (den // v[r].denominator) for v in col])
@@ -506,29 +496,21 @@ def norm_poly(K: NumberField, f: Poly) -> Poly:
                 entry = zz.zz_sub(
                     zz.zz_mul(piv, a[i][j]), zz.zz_mul(a[i][k], a[k][j])
                 )
-                a[i][j] = _zz_exact_quo(entry, prev) if k else entry
+                a[i][j] = zz.zz_divmod(entry, prev)[0] if k else entry
         prev = piv
     scale = den**d
     return Poly([Fraction(c, scale) for c in a[d - 1][d - 1]])
 
 
-def _zz_exact_quo(f: list[int], g: list[int]) -> list[int]:
-    """f / g for g dividing f in Z[x].  g need not be monic: each
-    quotient coefficient is an integer, so the leading coefficients
-    divide exactly at every step."""
-    dg = len(g) - 1
-    if len(f) <= dg:
-        return []
-    rem = list(f)
-    lc = g[-1]
-    quot = [0] * (len(f) - dg)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + dg] // lc
-        if c:
-            quot[i] = c
-            for j, b in enumerate(g):
-                rem[i + j] -= c * b
-    return quot
+def _times_gen(v, m) -> list:
+    """The coordinates of theta * a, for v the coordinates of a in
+    Q[t]/(m), m monic: shift up one place, then replace theta**d by
+    -(m_0 + ... + m_(d-1) theta**(d-1))."""
+    top = v[-1]
+    v = [0, *v[:-1]]
+    if top:
+        v = [x - top * y for x, y in zip(v, m)]
+    return v
 
 
 def _rational_coeffs(f: Poly) -> Poly:

@@ -191,16 +191,6 @@ def substitute_power(p: Poly, n: int) -> Poly:
     return Poly(out)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors (char 0)."""
-    if p.is_zero():
-        raise ZeroPolynomial("squarefree_part of the zero polynomial")
-    if p.degree == 0:
-        return Poly([_one_like(p.leading)])
-    g = gcd(p, p.derivative())
-    return divrem(p, g)[0].monic()
-
-
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     """base**e modulo mod, by square and multiply."""
     if mod.is_zero():

@@ -24,7 +24,7 @@ def rat_to_str(r: Fraction) -> str:
 
 
 def str_to_rat(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}")
@@ -153,9 +153,8 @@ def certificate_to_json(c: HereditaryCertificate) -> dict:
         "primes_tested": list(c.primes_tested),
         "minus_four_tested": c.minus_four_tested,
         "lift_exponent": c.lift_exponent,
+        "base_factor": poly_to_json(c.base_factor),
     }
-    if c.base_factor is not None:
-        out["base_factor"] = poly_to_json(c.base_factor)
     if c.obstruction is not None:
         out["obstruction"] = obstruction_to_json(c.obstruction)
     if c.witnessed_split is not None:

@@ -176,6 +176,20 @@ def test_nonpositive_exponents_exit_4():
         assert "positive integer" in report["error"]
 
 
+def test_json_booleans_are_not_rationals():
+    # bool subclasses int, but true and false are no rationals
+    for command, payload in (
+        ("validate", {"ring": "Q", "char_poly": {"coeffs": [True, 2, True]}}),
+        ("degree-bound", {"x0": True}),
+    ):
+        report, code = run_task(command, payload)
+        assert code == EXIT_PARSE, command
+        assert report["status"] == "parse_error"
+        assert report["error"] == "expected a rational string, got True"
+    report, code = run_task("validate", {"ring": "Q", "char_poly": {"coeffs": [1, 2, 1]}})
+    assert code == EXIT_OK
+
+
 def test_engine_fault_is_internal_error_exit_5(monkeypatch):
     def broken(g):
         raise RuntimeError("factor product mismatch")
@@ -400,7 +414,7 @@ def test_prolong_degree_budget():
         )
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_BUDGET
-        assert report["error"] == "P(x**10000000) would have degree 10000000, cap is 256"
+        assert report["error"] == "degree 10000000 (1 * 10000000) is past the cap 256"
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -430,7 +444,7 @@ def test_power_test_radical_degree_budget():
         assert time.perf_counter() - start < 5.0
         assert code == EXIT_BUDGET
         assert report["status"] == "budget_exceeded"
-        assert report["error"] == "P(x**257) would have degree 257, cap is 256"
+        assert report["error"] == "degree 257 (1 * 257) is past the cap 256"
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -456,7 +470,7 @@ def test_degree_cap_is_checked_before_factoring_P(monkeypatch):
             report, code = run_task(command, payload)
             assert time.perf_counter() - start < 1.0, command
             assert code == EXIT_BUDGET, command
-            assert report["error"] == "P(x**1) would have degree 512, cap is 256"
+            assert report["error"] == "degree 512 (512 * 1) is past the cap 256"
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

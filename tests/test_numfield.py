@@ -467,6 +467,29 @@ def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
     assert primes == [307]
 
 
+def test_zz_divmod_monic_divisor():
+    # x**4 + 3x + 5 = (x**2 - 2)(x**2 + 2) + (3x + 9)
+    assert _intfactor.zz_divmod([5, 3, 0, 0, 1], [-2, 0, 1]) == ([2, 0, 1], [9, 3])
+    # Phi_6 = x**2 - x + 1 divides x**6 - 1
+    assert _intfactor.zz_divmod([-1, 0, 0, 0, 0, 0, 1], [1, -1, 1]) == (
+        [-1, -1, 0, 1, 1],
+        [],
+    )
+
+
+def test_zz_divmod_exact_non_monic_divisor():
+    # (3x + 2)(5x**2 - 1) divided by 3x + 2
+    f = _intfactor.zz_mul([2, 3], [-1, 0, 5])
+    assert f == [-2, -3, 10, 15]
+    assert _intfactor.zz_divmod(f, [2, 3]) == ([-1, 0, 5], [])
+    assert _intfactor.zz_divmod(f, [-1, 0, 5]) == ([2, 3], [])
+
+
+def test_zz_divmod_divisor_of_higher_degree():
+    assert _intfactor.zz_divmod([7, 1], [1, 0, 1]) == ([], [7, 1])
+    assert _intfactor.zz_divmod([], [1, 1]) == ([], [])
+
+
 def _assert_flattened(K, Q, ext):
     """Some root theta' of K's defining polynomial in L = ext.field gives
     L.gen = alpha + s*theta' and Q'(alpha) = 0, where Q' is Q with theta'
