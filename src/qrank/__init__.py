@@ -22,7 +22,6 @@ from .classify import (
     subgroup_constraint,
 )
 from .groups import (
-    INFINITE,
     UNDEFINED,
     CompanionPresentation,
     RankReport,
@@ -95,7 +94,6 @@ __all__ = [
     "ValidationReport",
     "RankReport",
     "UNDEFINED",
-    "INFINITE",
     "validate",
     "prolong",
     "rank_in_reduct",

@@ -494,20 +494,19 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     l = int(ceil(log(2 * B + 1, p)))
     g = hensel_lift(p, f, modular, l)
 
-    sorted_T = list(range(len(g)))
-    T = set(sorted_T)
     factors: list[list[int]] = []
     s = 1
     pl = p**l
     tried = 0
 
-    while 2 * s <= len(T):
-        for S in combinations(sorted_T, s):
+    # g holds the lifted factors not yet placed in a true factor
+    while 2 * s <= len(g):
+        for S in combinations(range(len(g)), s):
             tried += 1
             if tried > _MAX_SUBSETS:
                 raise BudgetExceeded(
-                    f"recombining {len(g)} modular factors needs more than "
-                    f"{_MAX_SUBSETS} subsets"
+                    f"recombining {len(modular)} modular factors needs more "
+                    f"than {_MAX_SUBSETS} subsets"
                 )
             # for a true factor h, b*prod g_i = (b/lc h)*h mod p**l, and
             # (b/lc h)*h(0) divides b*fc
@@ -521,17 +520,14 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                 G = zz_mul(G, g[i])
             G = zz_primitive(zz_trunc(G, pl))
 
-            Sset = set(S)
-            T_S = T - Sset
-
+            rest = [gi for i, gi in enumerate(g) if i not in S]
             H = [b]
-            for i in T_S:
-                H = zz_mul(H, g[i])
+            for gi in rest:
+                H = zz_mul(H, gi)
             H = zz_trunc(H, pl)
 
             if zz_l1(G) * zz_l1(H) <= B:
-                T = T_S
-                sorted_T = [i for i in sorted_T if i not in Sset]
+                g = rest
                 f = zz_primitive(H)
                 factors.append(G)
                 b = f[-1]

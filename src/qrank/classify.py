@@ -90,10 +90,7 @@ def rank_bound_from_ratio(x0: Fraction) -> int | None:
     The bound need not be attained: x - 64 has rank 4, while the bound
     for x0 = 64 is 6.  x**6 - 64 = (x - 2)(x + 2)(x**2 - 2x + 4)
     (x**2 + 2x + 4), and x**N - 64 has at most 4 factors at every N."""
-    x0 = Fraction(x0)
-    if x0 <= 0:
-        raise NonPositive(f"need x0 > 0, got {x0}")
-    if x0 == 1:
+    if Fraction(x0) == 1:
         return None
     return rationality_exponent(x0)
 

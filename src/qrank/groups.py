@@ -35,7 +35,6 @@ from .poly import (
 AMBIENTS = ("multiplicative", "cm_elliptic")
 
 UNDEFINED = "undefined"
-INFINITE = "infinite"
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class RankReport:
-    rank: int | str  # a natural number, UNDEFINED, or INFINITE
-    method: str  # hereditary_factor_count | fixed_field_rule | degree_ratio_bound_only
+    rank: int | str  # a natural number, or UNDEFINED
+    method: str  # hereditary_factor_count | fixed_field_rule
     witness: object = None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 from . import _intfactor as zz
@@ -358,26 +359,15 @@ def _certified_squarefree(f: Poly) -> bool:
     else:
         K = QQ
         rows = [(c,) for c in f.coeffs]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
     pairs = 0
-    for ell, roots in K._certificate_primes():
-        if not roots or den % ell == 0:
+    for ell, vals in _images(K._certificate_primes(), rows):
+        if not vals[-1]:
             continue
-        reduced = [[_mod(x, ell) for x in reversed(row)] for row in rows]
-        for r in roots:
-            vals = []
-            for row in reduced:
-                v = 0
-                for c in row:
-                    v = (v * r + c) % ell
-                vals.append(v)
-            if not vals[-1]:
-                continue
-            if zz.gf_is_squarefree(zz.gf_from_zz(vals, ell), ell):
-                return True
-            pairs += 1
-            if pairs == _CERT_PAIRS:
-                return False
+        if zz.gf_is_squarefree(zz.gf_from_zz(vals, ell), ell):
+            return True
+        pairs += 1
+        if pairs == _CERT_PAIRS:
+            return False
     return False
 
 
@@ -705,25 +695,41 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     few primes usually settle it.  The work is bounded by _SIEVE_PRIMES
     primes and _SIEVE_PAIRS usable pairs (l, r).
     """
-    den = math.lcm(*(c.denominator for c in a.coords))
-    scanned = pairs = 0
-    for ell, roots in _degree_one_primes(L.min_poly, n + 1, n):
-        if scanned == _SIEVE_PRIMES or pairs >= _SIEVE_PAIRS:
+    scan = islice(_degree_one_primes(L.min_poly, n + 1, n), _SIEVE_PRIMES)
+    pairs = 0
+    for ell, (v,) in _images(scan, [a.coords]):
+        if not v:
+            continue
+        if pow(v, (ell - 1) // n, ell) != 1:
+            return True
+        pairs += 1
+        if pairs == _SIEVE_PAIRS:
             return False
-        scanned += 1
+    return False
+
+
+def _images(scan, rows):
+    """(l, [row(r) mod l for row in rows]) for each degree-one prime (l, r)
+    of scan, an iterable of (l, roots) pairs as _degree_one_primes gives,
+    whose l divides no denominator of the rows.
+
+    A row holds power-basis coordinates.  For such an l, every row is an
+    element of Z_(l)[theta], and theta -> r is the ring map to GF(l)
+    through which both callers argue.
+    """
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    for ell, roots in scan:
         if not roots or den % ell == 0:
             continue
-        a_ell = [_mod(c, ell) for c in reversed(a.coords)]
-        k = (ell - 1) // n
+        reduced = [[_mod(x, ell) for x in reversed(row)] for row in rows]
         for r in roots:
-            v = 0
-            for c in a_ell:
-                v = (v * r + c) % ell
-            if v:
-                pairs += 1
-                if pow(v, k, ell) != 1:
-                    return True
-    return False
+            vals = []
+            for row in reduced:
+                v = 0
+                for c in row:
+                    v = (v * r + c) % ell
+                vals.append(v)
+            yield ell, vals
 
 
 def _mod(c: Fraction, ell: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import ParseError, QrankError
 from .groups import AMBIENTS, CompanionPresentation, RankReport, ValidationReport
 from .hereditary import HereditaryCertificate, HereditaryFactorization
-from .numfield import NFElement, NumberField, Obstruction, QQ
+from .numfield import NFElement, NumberField, QQ
 from .poly import Poly
 
 
@@ -127,6 +127,8 @@ def json_to_presentation(obj) -> CompanionPresentation:
         if not isinstance(row, list) or not row:
             raise ParseError("'last_row' must be a nonempty list")
         size = obj.get("size", len(row))
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ParseError(f"'size' must be an integer, got {size!r}")
         if size != len(row):
             raise ParseError(
                 f"size {size} does not match last_row length {len(row)}"
@@ -137,16 +139,8 @@ def json_to_presentation(obj) -> CompanionPresentation:
     raise ParseError("presentation needs 'char_poly' or 'last_row'")
 
 
-def obstruction_to_json(o: Obstruction | None):
-    if o is None:
-        return None
-    if o.kind == "pth_power":
-        return {"kind": "pth_power", "p": o.p}
-    return {"kind": "minus_four"}
-
-
 def certificate_to_json(c: HereditaryCertificate) -> dict:
-    out = {
+    return {
         "factor": poly_to_json(c.factor),
         "verdict": c.verdict,
         "prime_bound": c.prime_bound,
@@ -155,11 +149,6 @@ def certificate_to_json(c: HereditaryCertificate) -> dict:
         "lift_exponent": c.lift_exponent,
         "base_factor": poly_to_json(c.base_factor),
     }
-    if c.obstruction is not None:
-        out["obstruction"] = obstruction_to_json(c.obstruction)
-    if c.witnessed_split is not None:
-        out["witnessed_split"] = [poly_to_json(w) for w in c.witnessed_split]
-    return out
 
 
 def hereditary_to_json(hf: HereditaryFactorization) -> dict:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import signal
@@ -161,6 +162,14 @@ def test_parse_errors_exit_4():
         assert report["status"] == "parse_error"
     report, code = run_task("frobnicate", {})
     assert code == EXIT_PARSE
+    # size must be a JSON integer: no bool, float or string passes for 1
+    for size in (True, 1.0, "1"):
+        report, code = run_task(
+            "rank", {"ring": "Q", "last_row": ["3"], "size": size}
+        )
+        assert code == EXIT_PARSE, size
+        assert report["status"] == "parse_error"
+        assert report["error"] == f"'size' must be an integer, got {size!r}"
 
 
 def test_nonpositive_exponents_exit_4():
@@ -271,9 +280,9 @@ def test_hereditary_command_certificates():
     res = report["result"]
     assert res["N"] == 4
     assert len(res["factors"]) == 2
-    assert all(
-        c["verdict"] == "hereditarily_irreducible" for c in res["certificates"]
-    )
+    for c in res["certificates"]:
+        assert c["verdict"] == "hereditarily_irreducible"
+        assert "obstruction" not in c and "witnessed_split" not in c
 
 
 def test_oracle_command():
@@ -508,15 +517,20 @@ def test_batch_run_order_and_exit():
     tasks = [
         {"command": "degree-bound", "payload": {"x0": "9"}},
         {"command": "rank", "payload": {"ring": "Q", "char_poly": {"coeffs": ["-1", "1"]}}},
+        "not a task",
         {"command": "degree-bound", "payload": {"x0": "4"}},
     ]
     report, code = run_batch(tasks)
+    # the first nonzero exit code is the batch's
     assert code == EXIT_VALIDATION
     assert [r["status"] for r in report["reports"]] == [
         "ok",
         "validation_failed",
+        "parse_error",
         "ok",
     ]
+    assert report["reports"][2]["error"] == "task must be an object"
+    assert run_batch(tasks[2:])[1] == EXIT_PARSE
 
 
 def test_determinism_byte_identical():
@@ -570,3 +584,37 @@ def test_main_unreadable_input_exit_4(tmp_path, capsys, kind):
     code = main(["degree-bound", "--input", str(inp)])
     assert code == EXIT_PARSE
     assert json.loads(capsys.readouterr().out)["status"] == "parse_error"
+
+
+def test_main_run(tmp_path, capsys):
+    payload = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
+    inp = tmp_path / "task.json"
+    inp.write_text(json.dumps({"command": "rank", "payload": payload}))
+    assert main(["run", "--input", str(inp)]) == EXIT_OK
+    expected, _ = run_task("rank", payload)
+    assert capsys.readouterr().out == dump_report(expected, pretty=False)
+
+    inp.write_text("17")
+    assert main(["run", "--input", str(inp)]) == EXIT_PARSE
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "parse_error"
+    assert report["error"] == "task file must be an object or a list"
+
+
+def test_main_pretty_output_is_the_same_report(tmp_path, capsys):
+    inp = tmp_path / "task.json"
+    inp.write_text('{"ring":"Q","char_poly":{"coeffs":["-4","1"]}}')
+    assert main(["rank", "--input", str(inp)]) == EXIT_OK
+    compact = capsys.readouterr().out
+    assert main(["rank", "--input", str(inp), "--pretty"]) == EXIT_OK
+    pretty = capsys.readouterr().out
+    assert pretty != compact and "\n  " in pretty
+    assert json.loads(pretty) == json.loads(compact)
+
+
+def test_main_reads_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"x0": "9"}'))
+    assert main(["degree-bound"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["result"] == {"x0": "9", "bound": 2}

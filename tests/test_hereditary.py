@@ -241,6 +241,7 @@ def test_hereditary_factorization_examples():
     assert hf.factors == (qpoly(2, -2, 1), qpoly(2, 2, 1))
     for c in hf.certificates:
         assert c.verdict == "hereditarily_irreducible"
+        assert c.obstruction is None and c.witnessed_split is None
 
 
 def test_hereditary_factorization_product_law(monkeypatch):

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import qrank
 
 
@@ -6,3 +11,46 @@ def test_star_import_resolves_every_public_name():
     namespace: dict = {}
     exec("from qrank import *", namespace)
     assert sorted(set(qrank.__all__) - namespace.keys()) == []
+
+
+_IMPORTS_SCRIPT = """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+from qrank.cli import COMMANDS, run_task
+P = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
+Qi = {"min_poly": {"coeffs": ["1", "0", "1"]}}
+tasks = {
+    "rank": {"ring": Qi, "char_poly": {"coeffs": [["-3", "-4"], "1"]}},
+    "reduct-rank": dict(P, n=2),
+    "hereditary": {"field": Qi, "poly": {"coeffs": ["4", "1"]}},
+    "validate": P,
+    "prolong": dict(P, n=3),
+    "degree-bound": {"x0": "64"},
+    "fixed-field": {"q0": "2", "m": 0, "characteristic": 0},
+    "oracle": {"field": "Q", "poly": {"coeffs": ["-8", "1"]}, "n_list": [1, 3, 6]},
+}
+assert sorted(tasks) == sorted(COMMANDS)
+for command, payload in tasks.items():
+    report, code = run_task(command, payload)
+    assert code == 0, report
+after = {name.partition(".")[0] for name in sys.modules}
+print(" ".join(sorted(after - before)))
+"""
+
+
+def test_engine_loads_only_stdlib_and_numpy():
+    # one task of each command in a fresh interpreter; modules loaded
+    # before qrank (site hooks) are left out of the comparison
+    src = str(pathlib.Path(qrank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "qrank" in out
+    foreign = [m for m in out if m not in sys.stdlib_module_names]
+    assert sorted(set(foreign) - {"numpy", "qrank"}) == []
