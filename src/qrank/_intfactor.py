@@ -7,6 +7,10 @@ polynomials over GF(p) are numpy int64 arrays in the same layout.
 zz_divmod is the engine's one division in Z[x]: besides the Hensel
 steps, numfield.norm_poly divides by its Bareiss pivots with it and
 hereditary.has_root_of_unity_root by the cyclotomic polynomials.
+A recombination candidate whose own L1 norm passes the Landau-Mignotte
+bound is rejected before its cofactor is built; for x**n - 1, whose
+reciprocal pairs pass the constant-term test, that saves a product of
+every other lifted factor per pair.
 Recombination is exhaustive, with no lattice reduction, so it is
 bounded by _MAX_SUBSETS subsets per factorization: the Swinnerton-Dyer
 polynomial of degree 64 splits into at least 32 factors modulo every
@@ -300,32 +304,39 @@ def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
         return [f] if n == 1 else []
     basis = _berlekamp_kernel(f, p)
     r = len(basis)
+    # r pairwise coprime nonconstant pieces whose product is f are its r
+    # irreducible factors, so the split stops once it holds r pieces
     factors = [f]
-    if r == 1:
-        return factors
+    held = 1
     for v in basis:
-        if len(factors) == r:
+        if held == r:
             break
         vpoly = gf_strip(v)
         if vpoly.size <= 1:
             continue
         new: list[np.ndarray] = []
-        for u in factors:
-            if u.size - 1 <= 1:
-                new.append(u)
-                continue
-            rem = u
-            for s in range(p):
-                if rem.size - 1 <= 0:
-                    break
-                vs = vpoly.copy()
-                vs[0] = (vs[0] - s) % p
-                g = gf_gcd(rem, vs, p)
-                if 0 < g.size - 1 < rem.size - 1:
-                    new.append(g)
-                    rem = gf_divmod(rem, g, p)[0]
-            if rem.size - 1 > 0:
+        for i, rem in enumerate(factors):
+            if held == r:
+                new.extend(factors[i:])
+                break
+            if rem.size - 1 <= 1:
                 new.append(rem)
+                continue
+            # gcd(rem, v - s) = gcd(rem, w - s) for w = v mod rem, and a
+            # constant w splits nothing
+            w = gf_rem(vpoly, rem, p)
+            for s in range(p):
+                if w.size <= 1 or held == r:
+                    break
+                ws = w.copy()
+                ws[0] = (ws[0] - s) % p
+                g = gf_gcd(rem, ws, p)
+                if g.size > 1:
+                    new.append(g)
+                    held += 1
+                    rem = gf_divmod(rem, g, p)[0]
+                    w = gf_rem(w, rem, p)
+            new.append(rem)
         factors = new
     return sorted(factors, key=lambda a: (a.size, a.tolist()))
 
@@ -334,10 +345,12 @@ def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
 # Hensel lifting (Gathen-von zur Gathen style, quadratic steps)
 
 
-def _hensel_step(m, f, g, h, s, t):
+def _hensel_step(m, f, g, h, s, t, last=False):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to the same mod m**2.
 
     lc(h) = 1, deg(f) = deg(g) + deg(h), deg(s) < deg(h), deg(t) < deg(g).
+    The last step of a lift does not update s and t, which nothing reads
+    after it, and returns None for them.
     """
     M = m * m
 
@@ -350,6 +363,8 @@ def _hensel_step(m, f, g, h, s, t):
     u = zz_add(zz_mul(t, e), zz_mul(q, g))
     G = zz_trunc(zz_add(g, u), M)
     H = zz_trunc(zz_add(h, r), M)
+    if last:
+        return G, H, None, None
 
     u = zz_add(zz_mul(s, G), zz_mul(t, H))
     b = zz_trunc(zz_sub(u, [1]), M)
@@ -421,8 +436,8 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
     s = gf_to_zz(s, p)
     t = gf_to_zz(t, p)
 
-    for _ in range(1, d + 1):
-        (g, h, s, t), m = _hensel_step(m, f, g, h, s, t), m**2
+    for i in range(1, d + 1):
+        (g, h, s, t), m = _hensel_step(m, f, g, h, s, t, last=i == d), m**2
 
     return hensel_lift(p, g, f_list[:k], l) + hensel_lift(p, h, f_list[k:], l)
 
@@ -519,6 +534,12 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             for i in S:
                 G = zz_mul(G, g[i])
             G = zz_primitive(zz_trunc(G, pl))
+            # lc(H) = b with 0 < b < pl/2, so zz_l1(H) >= 1 and a
+            # candidate past the bound on its own norm has no cofactor
+            # worth building
+            lG = zz_l1(G)
+            if lG > B:
+                continue
 
             rest = [gi for i, gi in enumerate(g) if i not in S]
             H = [b]
@@ -526,7 +547,7 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                 H = zz_mul(H, gi)
             H = zz_trunc(H, pl)
 
-            if zz_l1(G) * zz_l1(H) <= B:
+            if lG * zz_l1(H) <= B:
                 g = rest
                 f = zz_primitive(H)
                 factors.append(G)

@@ -119,23 +119,32 @@ def json_to_presentation(obj) -> CompanionPresentation:
     ambient = obj.get("ambient", "multiplicative")
     if ambient not in AMBIENTS:
         raise ParseError(f"unknown ambient tag {ambient!r}")
-    if "char_poly" in obj:
-        poly = json_to_poly(obj["char_poly"], ring)
-        return CompanionPresentation(ring, poly, ambient)
-    if "last_row" in obj:
-        row = obj["last_row"]
-        if not isinstance(row, list) or not row:
-            raise ParseError("'last_row' must be a nonempty list")
-        size = obj.get("size", len(row))
+    # with char_poly, last_row and size are optional but must agree with it
+    row = obj.get("last_row")
+    if "last_row" in obj and (not isinstance(row, list) or not row):
+        raise ParseError("'last_row' must be a nonempty list")
+    size = obj.get("size")
+    if "size" in obj:
         if not isinstance(size, int) or isinstance(size, bool):
             raise ParseError(f"'size' must be an integer, got {size!r}")
-        if size != len(row):
+        if row is not None and size != len(row):
             raise ParseError(
                 f"size {size} does not match last_row length {len(row)}"
             )
-        return CompanionPresentation.from_last_row(
-            ring, [json_to_scalar(c, ring) for c in row], ambient
-        )
+    if row is not None:
+        row = [json_to_scalar(c, ring) for c in row]
+    if "char_poly" in obj:
+        poly = json_to_poly(obj["char_poly"], ring)
+        g = CompanionPresentation(ring, poly, ambient)
+        if size is not None and size != g.size:
+            raise ParseError(
+                f"size {size} does not match char_poly degree {g.size}"
+            )
+        if row is not None and tuple(row) != g.matrix().last_row:
+            raise ParseError("last_row does not match char_poly")
+        return g
+    if row is not None:
+        return CompanionPresentation.from_last_row(ring, row, ambient)
     raise ParseError("presentation needs 'char_poly' or 'last_row'")
 
 

@@ -172,6 +172,26 @@ def test_parse_errors_exit_4():
         assert report["error"] == f"'size' must be an integer, got {size!r}"
 
 
+def test_char_poly_with_last_row_or_size_must_agree():
+    P = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
+    for extra, error in (
+        ({"last_row": ["5"], "size": True}, "'size' must be an integer, got True"),
+        ({"size": "x"}, "'size' must be an integer, got 'x'"),
+        ({"last_row": ["5"]}, "last_row does not match char_poly"),
+        ({"size": 2}, "size 2 does not match char_poly degree 1"),
+    ):
+        report, code = run_task("rank", dict(P, **extra))
+        assert code == EXIT_PARSE, extra
+        assert report["status"] == "parse_error"
+        assert report["error"] == error
+    # x - 9 has the last row (9) and size 1
+    expected, _ = run_task("rank", P)
+    for extra in ({"last_row": ["9"]}, {"last_row": ["9"], "size": 1}, {"size": 1}):
+        report, code = run_task("rank", dict(P, **extra))
+        assert code == EXIT_OK, extra
+        assert report["result"] == expected["result"]
+
+
 def test_nonpositive_exponents_exit_4():
     P = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
     for command, payload in (

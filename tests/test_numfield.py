@@ -5,9 +5,11 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
+    cyclotomic,
     element_norm_reference,
     evaluate,
     gaussian_field,
@@ -465,6 +467,91 @@ def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
     factors = _intfactor.zz_factor_squarefree([1 + M, -2 - M, 1])
     assert sorted(factors) == [[-1 - M, 1], [-1, 1]]
     assert primes == [307]
+
+
+def test_x_n_minus_1_factors_into_cyclotomics():
+    # a cyclotomic factor and its reciprocal pass the constant-term test
+    # together, so recombination meets many candidates it must reject
+    for n in (24, 36, 48, 60, 72, 120):
+        content, factors = factor_over_Q(qpoly(*([-1] + [0] * (n - 1) + [1])))
+        assert content == 1
+        assert all(e == 1 for _, e in factors)
+        got = sorted(tuple(f.coeffs) for f, _ in factors)
+        want = sorted(tuple(cyclotomic(d).coeffs) for d in range(1, n + 1) if n % d == 0)
+        assert got == want, n
+
+
+def _gf_product(fs, p):
+    out = np.ones(1, dtype=np.int64)
+    for f in fs:
+        out = _intfactor.gf_mul(out, f, p)
+    return out
+
+
+def test_gf_factor_squarefree_returns_the_berlekamp_count():
+    rng = random.Random(2024)
+    for p in (3, 5, 7, 13):
+        tested = 0
+        counts = set()
+        while tested < 40:
+            k = rng.randint(1, 12)
+            degrees = [rng.randint(1, 6) for _ in range(k)]
+            while sum(degrees) > 40:
+                degrees.pop()
+            parts = [
+                np.array([rng.randrange(p) for _ in range(d)] + [1], dtype=np.int64)
+                for d in degrees
+            ]
+            f = _gf_product(parts, p)
+            if not _intfactor.gf_is_squarefree(f, p):
+                continue
+            tested += 1
+            factors = _intfactor.gf_factor_squarefree(f, p)
+            r = _intfactor.gf_factor_count(f, p)
+            counts.add(r)
+            assert len(factors) == r
+            assert len({tuple(g.tolist()) for g in factors}) == r
+            for g in factors:
+                assert g[-1] == 1
+                assert _intfactor.gf_factor_count(g, p) == 1
+            assert _gf_product(factors, p).tolist() == f.tolist()
+        assert max(counts) >= 5, (p, counts)
+
+
+def test_hensel_lift_overshooting_last_step():
+    # d = ceil(log2 l) quadratic steps reach p**(2**d) > p**l; the last
+    # one updates no Bezout pair, and the lift must still be exact mod p**l
+    rng = random.Random(15)
+    zz = _intfactor
+    for r in range(2, 9):
+        for l in (5, 9, 17):
+            p = rng.choice((5, 7, 11))
+            while True:
+                mods = [
+                    [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+                    for _ in range(r)
+                ]
+                F = _gf_product([zz.gf_from_zz(m, p) for m in mods], p)
+                if zz.gf_is_squarefree(F, p):
+                    break
+            mods = [zz.gf_to_zz(zz.gf_from_zz(m, p), p) for m in mods]
+            lc = rng.choice([c for c in range(1, 30) if c % p])
+            f = [lc]
+            for m in mods:
+                f = zz.zz_mul(f, m)
+            # perturb f by multiples of p so that it does not split over Z
+            f = zz.zz_add(f, [p * rng.randint(-9, 9) for _ in range(len(f) - 1)])
+            pl = p**l
+            lifted = zz.hensel_lift(p, f, mods, l)
+            assert len(lifted) == r
+            product = [1]
+            for g in lifted:
+                product = zz.zz_mul(product, g)
+            inv = pow(lc, -1, pl)
+            assert zz.zz_trunc(product, pl) == zz.zz_trunc([c * inv for c in f], pl)
+            for g, m in zip(lifted, mods):
+                assert g[-1] == 1 and len(g) == len(m)
+                assert zz.zz_trunc(g, p) == zz.zz_trunc(m, p)
 
 
 def test_zz_divmod_monic_divisor():
