@@ -3,7 +3,8 @@ Zassenhaus recombination.
 
 Internal module.  Polynomials over Z are lists of Python ints in
 ascending order (index i = coefficient of x**i, no trailing zeros);
-polynomials over GF(p) are numpy int64 arrays in the same layout.
+polynomials over GF(p) are the same lists with every entry in [0, p),
+so zz_strip serves both and no coefficient size is bounded.
 zz_divmod is the engine's one division in Z[x]: besides the Hensel
 steps, numfield.norm_poly divides by its Bareiss pivots with it and
 hereditary.has_root_of_unity_root by the cyclotomic polynomials.
@@ -15,22 +16,17 @@ Recombination is exhaustive, with no lattice reduction, so it is
 bounded by _MAX_SUBSETS subsets per factorization: the Swinnerton-Dyer
 polynomial of degree 64 splits into at least 32 factors modulo every
 prime, and proving it irreducible would take about 2**31 subsets.  The
-prime scan stops at _MAX_P, which keeps every GF(p) product sum, up to
-deg * p**2, inside int64.  Past either bound the factorization raises
+prime scan stops at _MAX_P.  Past either bound the factorization raises
 BudgetExceeded.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import ceil, isqrt, log
-
-import numpy as np
+from math import isqrt
 
 from .arith import is_prime
 from .errors import BudgetExceeded
-
-_GF_EMPTY = np.zeros(0, dtype=np.int64)
 
 # ---------------------------------------------------------------------------
 # Z[x] helpers (Python ints, ascending order)
@@ -130,77 +126,63 @@ def zz_l1(f: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] kernels (numpy int64, ascending order)
+# GF(p)[x] kernels (Python ints in [0, p), ascending order)
 
 
-def gf_from_zz(f: list[int], p: int) -> np.ndarray:
-    return gf_strip(np.array([c % p for c in f], dtype=np.int64))
+def gf_from_zz(f: list[int], p: int) -> list[int]:
+    return zz_strip([c % p for c in f])
 
 
-def gf_to_zz(f: np.ndarray, p: int) -> list[int]:
-    """Balanced integer lift."""
-    half = p // 2
-    out = []
-    for c in f.tolist():
-        out.append(c - p if c > half else c)
-    return zz_strip(out)
+def gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    return zz_strip([c % p for c in zz_sub(a, b)])
 
 
-def gf_strip(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if nz.size == 0:
-        return _GF_EMPTY
-    return np.ascontiguousarray(a[: nz[-1] + 1])
+def gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    # the leading coefficients are units, so the product needs no strip
+    return [c % p for c in zz_mul(a, b)]
 
 
-def gf_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
-        return _GF_EMPTY
-    return np.convolve(a, b) % p
-
-
-def gf_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    if b.size == 0:
+def gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    if not b:
         raise ZeroDivisionError("gf division by zero")
-    if a.size < b.size:
-        return _GF_EMPTY, a
-    db = b.size - 1
-    inv = pow(int(b[-1]), p - 2, p)
-    rem = a.copy()
-    quot = np.zeros(a.size - db, dtype=np.int64)
-    for i in range(quot.size - 1, -1, -1):
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = pow(b[-1], p - 2, p)
+    low = b[:db]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
         c = rem[i + db] * inv % p
         if c:
             quot[i] = c
-            rem[i : i + db + 1] = (rem[i : i + db + 1] - c * b) % p
-    return gf_strip(quot), gf_strip(rem[:db])
+            rem[i : i + db] = [r - c * t for r, t in zip(rem[i : i + db], low)]
+    return quot, zz_strip([c % p for c in rem[:db]])
 
 
-def gf_rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def gf_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return gf_divmod(a, b, p)[1]
 
 
-def gf_monic(a: np.ndarray, p: int) -> np.ndarray:
-    if a.size == 0 or a[-1] == 1:
+def gf_monic(a: list[int], p: int) -> list[int]:
+    if not a or a[-1] == 1:
         return a
-    inv = pow(int(a[-1]), p - 2, p)
-    return a * inv % p
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
 
 
-def gf_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    while b.size:
+def gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
         a, b = b, gf_rem(a, b, p)
     return gf_monic(a, p)
 
 
-def gf_diff(a: np.ndarray, p: int) -> np.ndarray:
-    if a.size <= 1:
-        return _GF_EMPTY
-    return gf_strip(a[1:] * np.arange(1, a.size, dtype=np.int64) % p)
+def gf_diff(a: list[int], p: int) -> list[int]:
+    return zz_strip([i * c % p for i, c in enumerate(a)][1:])
 
 
-def gf_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, p: int) -> np.ndarray:
-    result = np.ones(1, dtype=np.int64)
+def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
     acc = gf_rem(base, mod, p)
     while e > 0:
         if e & 1:
@@ -210,96 +192,113 @@ def gf_pow_mod(base: np.ndarray, e: int, mod: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-def gf_is_squarefree(f: np.ndarray, p: int) -> bool:
+def gf_is_squarefree(f: list[int], p: int) -> bool:
     d = gf_diff(f, p)
-    if d.size == 0:
-        return f.size - 1 == 0
-    return gf_gcd(f, d, p).size == 1
+    if not d:
+        return len(f) == 1
+    return len(gf_gcd(f, d, p)) == 1
 
 
-_ROOT_BLOCK = 1 << 16
+def gf_roots(f: list[int], p: int) -> list[int]:
+    """Distinct roots of the nonzero f in GF(p), ascending.
 
-
-def gf_roots(f: np.ndarray, p: int) -> list[int]:
-    """Roots of f in GF(p), ascending, by Horner evaluation at every
-    residue in blocks of _ROOT_BLOCK, so memory stays bounded; p < 2**31
-    keeps every product inside int64."""
-    coeffs = f.tolist()[::-1]
+    g = gcd(f, x**p - x) is the product of x - r over the roots r; for
+    odd p, g splits by gcd(g, (x + a)**((p-1)/2) - 1) for a = 0, 1, ...
+    (Cantor-Zassenhaus with deterministic shifts): two distinct roots
+    r, s fall on different sides for at least (p - 1)/2 of the shifts a.
+    """
+    if p == 2:
+        return [r for r, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
+    f = gf_monic(f, p)
+    g = gf_gcd(f, gf_sub(gf_pow_mod([0, 1], p, f, p), [0, 1], p), p)
     roots: list[int] = []
-    for lo in range(0, p, _ROOT_BLOCK):
-        r = np.arange(lo, min(lo + _ROOT_BLOCK, p), dtype=np.int64)
-        acc = np.zeros_like(r)
-        for c in coeffs:
-            acc = (acc * r + c) % p
-        roots.extend((np.flatnonzero(acc == 0) + lo).tolist())
-    return roots
+    pending = [g]
+    e = (p - 1) // 2
+    while pending:
+        g = pending.pop()
+        if len(g) <= 2:
+            if len(g) == 2:
+                roots.append(-g[0] % p)
+            continue
+        a = 0
+        while True:
+            h = gf_gcd(g, gf_sub(gf_pow_mod([a, 1], e, g, p), [1], p), p)
+            if 1 < len(h) < len(g):
+                pending += [h, gf_divmod(g, h, p)[0]]
+                break
+            a += 1
+    return sorted(roots)
 
 
-def _berlekamp_kernel(f: np.ndarray, p: int) -> list[np.ndarray]:
+def _berlekamp_kernel(f: list[int], p: int) -> list[list[int]]:
     """Basis of the kernel of Q - I over GF(p), for the monic f of degree
     n >= 2 and its Berlekamp matrix Q, whose rows are x**(i*p) mod f for
     i = 0..n-1.  For a squarefree f the basis has one vector per
     irreducible factor."""
-    n = f.size - 1
-    Q = np.zeros((n, n), dtype=np.int64)
-    Q[0, 0] = 1
-    xp = gf_pow_mod(np.array([0, 1], dtype=np.int64), p, f, p)
-    cur = np.ones(1, dtype=np.int64)
-    for i in range(1, n):
-        cur = gf_rem(gf_mul(cur, xp, p), f, p)
-        Q[i, : cur.size] = cur
+    n = len(f) - 1
+    # row i is row i-1 shifted up p places, with the p new top places
+    # cleared against the nonzero terms of f: p * (terms of f) per row,
+    # which stays small on the sparse P(x**m)
+    tail = [(j, c) for j, c in enumerate(f[:n]) if c]
+    Q = [[1] + [0] * (n - 1)]
+    for _ in range(1, n):
+        buf = [0] * p + Q[-1]
+        for k in range(n + p - 1, n - 1, -1):
+            c = buf[k] % p
+            if c:
+                base = k - n
+                for j, t in tail:
+                    buf[base + j] -= c * t
+        Q.append([c % p for c in buf[:n]])
     # the right nullspace of M = Q^T - I, by Gauss-Jordan elimination
-    M = (Q.T - np.eye(n, dtype=np.int64)) % p
-    pivots: dict[int, int] = {}
-    row = 0
+    M = [list(col) for col in zip(*Q)]
+    for i in range(n):
+        M[i][i] = (M[i][i] - 1) % p
+    pivots: dict[int, list[int]] = {}
+    unused = M
     for col in range(n):
-        if row >= n:
-            break
-        sel = -1
-        for rr in range(row, n):
-            if M[rr, col]:
-                sel = rr
-                break
-        if sel < 0:
+        sel = next((r for r in unused if r[col]), None)
+        if sel is None:
             continue
-        if sel != row:
-            M[[row, sel]] = M[[sel, row]]
-        inv = pow(int(M[row, col]), p - 2, p)
-        M[row] = M[row] * inv % p
-        hits = np.nonzero(M[:, col])[0]
-        hits = hits[hits != row]
-        if hits.size:
-            M[hits] = (M[hits] - np.outer(M[hits, col], M[row])) % p
-        pivots[col] = row
-        row += 1
+        unused = [r for r in unused if r is not sel]
+        inv = pow(sel[col], p - 2, p)
+        if inv != 1:
+            sel[:] = [c * inv % p for c in sel]
+        nz = [(j, c) for j, c in enumerate(sel) if c]
+        for r in M:
+            c = r[col]
+            if c and r is not sel:
+                for j, t in nz:
+                    r[j] = (r[j] - c * t) % p
+        pivots[col] = sel
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
-        v = np.zeros(n, dtype=np.int64)
+        v = [0] * n
         v[fc] = 1
-        for c, rr in pivots.items():
-            v[c] = (-int(M[rr, fc])) % p
+        for c, r in pivots.items():
+            v[c] = -r[fc] % p
         basis.append(v)
     return basis
 
 
-def gf_factor_count(f: np.ndarray, p: int) -> int:
+def gf_factor_count(f: list[int], p: int) -> int:
     """Number of irreducible factors of squarefree monic f (Berlekamp nullity)."""
-    n = f.size - 1
+    n = len(f) - 1
     if n <= 1:
         return n
     return len(_berlekamp_kernel(f, p))
 
 
-def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
+def gf_factor_squarefree(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of squarefree monic f over GF(p).
 
     Classic Berlekamp with exhaustive subfield-element splitting; p is
     always chosen small, so the s-loop is cheap.
     """
     f = gf_monic(f, p)
-    n = f.size - 1
+    n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
     basis = _berlekamp_kernel(f, p)
@@ -311,34 +310,32 @@ def gf_factor_squarefree(f: np.ndarray, p: int) -> list[np.ndarray]:
     for v in basis:
         if held == r:
             break
-        vpoly = gf_strip(v)
-        if vpoly.size <= 1:
+        vpoly = zz_strip(v)
+        if len(vpoly) <= 1:
             continue
-        new: list[np.ndarray] = []
+        new: list[list[int]] = []
         for i, rem in enumerate(factors):
             if held == r:
                 new.extend(factors[i:])
                 break
-            if rem.size - 1 <= 1:
+            if len(rem) <= 2:
                 new.append(rem)
                 continue
             # gcd(rem, v - s) = gcd(rem, w - s) for w = v mod rem, and a
             # constant w splits nothing
             w = gf_rem(vpoly, rem, p)
             for s in range(p):
-                if w.size <= 1 or held == r:
+                if len(w) <= 1 or held == r:
                     break
-                ws = w.copy()
-                ws[0] = (ws[0] - s) % p
-                g = gf_gcd(rem, ws, p)
-                if g.size > 1:
+                g = gf_gcd(rem, [(w[0] - s) % p] + w[1:], p)
+                if len(g) > 1:
                     new.append(g)
                     held += 1
                     rem = gf_divmod(rem, g, p)[0]
                     w = gf_rem(w, rem, p)
             new.append(rem)
         factors = new
-    return sorted(factors, key=lambda a: (a.size, a.tolist()))
+    return sorted(factors, key=lambda a: (len(a), a))
 
 
 # ---------------------------------------------------------------------------
@@ -380,30 +377,22 @@ def _hensel_step(m, f, g, h, s, t, last=False):
     return G, H, S, T
 
 
-def _gf_gcdex(a: np.ndarray, b: np.ndarray, p: int):
+def _gf_gcdex(a: list[int], b: list[int], p: int):
     """s, t, g with s*a + t*b = g = gcd(a, b), all monic-normalized."""
     r0, r1 = a, b
-    s0, s1 = np.ones(1, dtype=np.int64), _GF_EMPTY
-    t0, t1 = _GF_EMPTY, np.ones(1, dtype=np.int64)
-    while r1.size:
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
         q, r = gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, gf_strip((_pad_sub(s0, gf_mul(q, s1, p), p)))
-        t0, t1 = t1, gf_strip((_pad_sub(t0, gf_mul(q, t1, p), p)))
-    if r0.size:
-        inv = pow(int(r0[-1]), p - 2, p)
-        r0 = r0 * inv % p
-        s0 = s0 * inv % p
-        t0 = t0 * inv % p
+        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
+        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+    if r0:
+        inv = pow(r0[-1], p - 2, p)
+        r0 = [c * inv % p for c in r0]
+        s0 = [c * inv % p for c in s0]
+        t0 = [c * inv % p for c in t0]
     return s0, t0, r0
-
-
-def _pad_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=np.int64)
-    out[: a.size] = a
-    out[: b.size] -= b
-    return out % p
 
 
 def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[list[int]]:
@@ -419,7 +408,7 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
 
     m = p
     k = r // 2
-    d = int(ceil(log(l, 2))) if l > 1 else 1
+    d = max(1, (l - 1).bit_length())
 
     g = gf_from_zz([lc], p)
     for f_i in f_list[:k]:
@@ -431,10 +420,11 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
 
     s, t, _ = _gf_gcdex(g, h, p)
 
-    g = gf_to_zz(g, p)
-    h = gf_to_zz(h, p)
-    s = gf_to_zz(s, p)
-    t = gf_to_zz(t, p)
+    # balanced integer lifts
+    g = zz_trunc(g, p)
+    h = zz_trunc(h, p)
+    s = zz_trunc(s, p)
+    t = zz_trunc(t, p)
 
     for i in range(1, d + 1):
         (g, h, s, t), m = _hensel_step(m, f, g, h, s, t, last=i == d), m**2
@@ -446,7 +436,9 @@ def hensel_lift(p: int, f: list[int], f_list: list[list[int]], l: int) -> list[l
 # Zassenhaus
 
 # Bounds of one factorization: recombination subsets tried, and the
-# primes scanned for a good reduction
+# primes scanned for a good reduction.  The scan passes over a prime only
+# when it divides lc(f) or disc(f), so _MAX_P keeps the scan finite; it
+# plays no part in the exactness of the GF(p) arithmetic
 _MAX_SUBSETS = 1 << 16
 _MAX_P = 1 << 20
 
@@ -502,16 +494,18 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     _, p = min(candidates)
 
     modular = [
-        gf_to_zz(ff, p)
+        zz_trunc(ff, p)
         for ff in gf_factor_squarefree(gf_monic(gf_from_zz(f, p), p), p)
     ]
 
-    l = int(ceil(log(2 * B + 1, p)))
+    # the least l with p**l > 2B, in integers
+    l, pl = 1, p
+    while pl <= 2 * B:
+        l, pl = l + 1, pl * p
     g = hensel_lift(p, f, modular, l)
 
     factors: list[list[int]] = []
     s = 1
-    pl = p**l
     tried = 0
 
     # g holds the lifted factors not yet placed in a true factor

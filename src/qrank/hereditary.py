@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import config
+from ._intfactor import zz_divmod
 from .arith import (
     perfect_power_exponent,
     primes_upto,
@@ -57,10 +58,6 @@ from .numfield import (
     norm_poly,
 )
 from .poly import Poly, poly_key, substitute_power
-
-# after .numfield, which loads numpy through _intfactor: loading numpy
-# from here, earlier, raises the peak memory of `import qrank` by 0.7 MiB
-from ._intfactor import zz_divmod
 
 # Height floor constants, all rounded down so prime bounds round up.
 _LOG_2_DOWN = 0.6931  # heights of rationals other than 0, +-1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Callable
 
 from . import _intfactor as zz
@@ -645,15 +645,14 @@ def flatten(
 # Radical membership
 
 
-# Work bounds of the power-residue sieve: primes l scanned per call, usable
-# (l, r) pairs after which it gives up, and the largest l (l**2 fits int64)
+# Work bounds of the power-residue sieve: primes l scanned per call and
+# usable (l, r) pairs after which it gives up
 _SIEVE_PRIMES = 40
 _SIEVE_PAIRS = 8
-_SIEVE_MAX_L = 1 << 31
 
 
 def _degree_one_primes(m: Poly, first: int, step: int):
-    """Every prime l = first, first + step, ... below _SIEVE_MAX_L, with
+    """Every prime l = first, first + step, ..., with no ceiling, with
     the roots r of m mod l: the degree-one primes (l, r) of Q[t]/(m).
 
     The roots are listed only when l divides no denominator of m and m
@@ -661,7 +660,7 @@ def _degree_one_primes(m: Poly, first: int, step: int):
     list is empty.  Callers bound how many primes they read.
     """
     den = math.lcm(*(c.denominator for c in m.coeffs))
-    for ell in range(first, _SIEVE_MAX_L, step):
+    for ell in count(first, step):
         if not is_prime(ell):
             continue
         roots: list[int] = []

@@ -187,7 +187,7 @@ def modular_degree_pattern_ok(
         F = gf_monic(gf_from_zz(ints, p), p)
         if not gf_is_squarefree(F, p):
             continue
-        degs = [g.size - 1 for g in gf_factor_squarefree(F, p)]
+        degs = [len(g) - 1 for g in gf_factor_squarefree(F, p)]
         if sum(degs) != f.degree:
             return False
         checked += 1

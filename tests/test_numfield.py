@@ -5,7 +5,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from helpers import (
@@ -469,6 +468,28 @@ def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
     assert primes == [307]
 
 
+def test_zassenhaus_lift_precision_passes_twice_the_bound(monkeypatch):
+    # f = (x - 1)(x - (M - 1)) has B = 8M = (3**40 + 15) / 2 and reduces
+    # well mod 3; log(2B + 1, 3) rounds to 40 in floating point, and
+    # 3**40 = 2B - 15 does not pass 2B
+    M = (3**40 + 15) // 16
+    B = (math.isqrt(3) + 1) * 2**2 * M
+    original = _intfactor.hensel_lift
+    precisions = []
+
+    def recording(p, f, f_list, l):
+        precisions.append((p, l))
+        return original(p, f, f_list, l)
+
+    monkeypatch.setattr(_intfactor, "hensel_lift", recording)
+    factors = _intfactor.zz_factor_squarefree([M - 1, -M, 1])
+    assert sorted(factors) == [[1 - M, 1], [-1, 1]]
+    p, l = precisions[0]
+    assert p == 3
+    assert p**l > 2 * B
+    assert p ** (l - 1) <= 2 * B
+
+
 def test_x_n_minus_1_factors_into_cyclotomics():
     # a cyclotomic factor and its reciprocal pass the constant-term test
     # together, so recombination meets many candidates it must reject
@@ -482,13 +503,29 @@ def test_x_n_minus_1_factors_into_cyclotomics():
 
 
 def _gf_product(fs, p):
-    out = np.ones(1, dtype=np.int64)
+    out = [1]
     for f in fs:
         out = _intfactor.gf_mul(out, f, p)
     return out
 
 
 def test_gf_factor_squarefree_returns_the_berlekamp_count():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
+    def check(f, p):
+        factors = _intfactor.gf_factor_squarefree(f, p)
+        r = _intfactor.gf_factor_count(f, p)
+        assert len(factors) == r
+        assert len({tuple(g) for g in factors}) == r
+        for g in factors:
+            assert g[-1] == 1
+            assert _intfactor.gf_factor_count(g, p) == 1
+        assert _gf_product(factors, p) == f
+        _, reference = gf_factor_sqf(ZZ.map(f[::-1]), p, ZZ)
+        assert sorted(factors) == sorted([int(c) for c in g[::-1]] for g in reference)
+        return r
+
     rng = random.Random(2024)
     for p in (3, 5, 7, 13):
         tested = 0
@@ -498,24 +535,57 @@ def test_gf_factor_squarefree_returns_the_berlekamp_count():
             degrees = [rng.randint(1, 6) for _ in range(k)]
             while sum(degrees) > 40:
                 degrees.pop()
-            parts = [
-                np.array([rng.randrange(p) for _ in range(d)] + [1], dtype=np.int64)
-                for d in degrees
-            ]
+            parts = [[rng.randrange(p) for _ in range(d)] + [1] for d in degrees]
             f = _gf_product(parts, p)
             if not _intfactor.gf_is_squarefree(f, p):
                 continue
             tested += 1
-            factors = _intfactor.gf_factor_squarefree(f, p)
-            r = _intfactor.gf_factor_count(f, p)
-            counts.add(r)
-            assert len(factors) == r
-            assert len({tuple(g.tolist()) for g in factors}) == r
-            for g in factors:
-                assert g[-1] == 1
-                assert _intfactor.gf_factor_count(g, p) == 1
-            assert _gf_product(factors, p).tolist() == f.tolist()
+            counts.add(check(f, p))
         assert max(counts) >= 5, (p, counts)
+        # the P(x**m) shape of the substitute workloads: sparse products
+        tested = 0
+        while tested < 10:
+            parts = []
+            for _ in range(rng.randint(1, 2)):
+                m = rng.randint(2, 12)
+                P = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [1]
+                part = [0] * (m * (len(P) - 1) + 1)
+                part[::m] = P
+                parts.append(part)
+            f = _gf_product(parts, p)
+            if not _intfactor.gf_is_squarefree(f, p):
+                continue
+            tested += 1
+            check(f, p)
+        # dense inputs up to degree 64
+        for d in (8, 16, 32, 48, 64):
+            while True:
+                f = [rng.randrange(p) for _ in range(d)] + [1]
+                if _intfactor.gf_is_squarefree(f, p):
+                    break
+            check(f, p)
+
+
+def test_gf_roots_match_brute_force_at_every_prime_below_200():
+    rng = random.Random(16)
+    for p in primes_upto(199):
+        for _ in range(12):
+            if rng.random() < 0.5:
+                f = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, p)]
+            else:
+                f = _gf_product([[rng.randrange(p), 1] for _ in range(rng.randint(1, 6))], p)
+            want = [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0]
+            assert _intfactor.gf_roots(f, p) == want, (p, f)
+
+
+def test_gf_roots_at_a_61_bit_prime():
+    # l = 3 (mod 4), so x**2 + 1 has no root mod l
+    ell = 2**61 - 1
+    roots = [0, 5, 17, 2**40 + 3, ell - 1]
+    linear = [[-r % ell, 1] for r in roots]
+    f = _gf_product(linear + [[1, 0, 1]], ell)
+    assert _intfactor.gf_roots(f, ell) == roots
+    assert _intfactor.gf_roots([1, 0, 1], ell) == []
 
 
 def test_hensel_lift_overshooting_last_step():
@@ -534,7 +604,7 @@ def test_hensel_lift_overshooting_last_step():
                 F = _gf_product([zz.gf_from_zz(m, p) for m in mods], p)
                 if zz.gf_is_squarefree(F, p):
                     break
-            mods = [zz.gf_to_zz(zz.gf_from_zz(m, p), p) for m in mods]
+            mods = [zz.zz_trunc(m, p) for m in mods]
             lc = rng.choice([c for c in range(1, 30) if c % p])
             f = [lc]
             for m in mods:
