@@ -199,37 +199,6 @@ def gf_is_squarefree(f: list[int], p: int) -> bool:
     return len(gf_gcd(f, d, p)) == 1
 
 
-def gf_roots(f: list[int], p: int) -> list[int]:
-    """Distinct roots of the nonzero f in GF(p), ascending.
-
-    g = gcd(f, x**p - x) is the product of x - r over the roots r; for
-    odd p, g splits by gcd(g, (x + a)**((p-1)/2) - 1) for a = 0, 1, ...
-    (Cantor-Zassenhaus with deterministic shifts): two distinct roots
-    r, s fall on different sides for at least (p - 1)/2 of the shifts a.
-    """
-    if p == 2:
-        return [r for r, v in ((0, f[0]), (1, sum(f))) if v % 2 == 0]
-    f = gf_monic(f, p)
-    g = gf_gcd(f, gf_sub(gf_pow_mod([0, 1], p, f, p), [0, 1], p), p)
-    roots: list[int] = []
-    pending = [g]
-    e = (p - 1) // 2
-    while pending:
-        g = pending.pop()
-        if len(g) <= 2:
-            if len(g) == 2:
-                roots.append(-g[0] % p)
-            continue
-        a = 0
-        while True:
-            h = gf_gcd(g, gf_sub(gf_pow_mod([a, 1], e, g, p), [1], p), p)
-            if 1 < len(h) < len(g):
-                pending += [h, gf_divmod(g, h, p)[0]]
-                break
-            a += 1
-    return sorted(roots)
-
-
 def _berlekamp_kernel(f: list[int], p: int) -> list[list[int]]:
     """Basis of the kernel of Q - I over GF(p), for the monic f of degree
     n >= 2 and its Berlekamp matrix Q, whose rows are x**(i*p) mod f for

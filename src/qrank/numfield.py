@@ -66,13 +66,17 @@ class NumberField:
         return self._gen
 
     def _certificate_primes(self):
-        """The first _CERT_PRIMES entries of _degree_one_primes(m, 2, 1),
-        each computed once, when a caller first reads that far."""
+        """(l, roots) for the first _CERT_PRIMES primes l (2 to 53): the
+        roots r of m mod l, found by trying every residue, when
+        _squarefree_mod(m, l) accepts l, else an empty list.  Each entry is
+        computed once, when a caller first reads that far."""
         scan = self._scan
-        for i in range(_CERT_PRIMES):
+        primes = filter(is_prime, count(2))
+        for i, ell in enumerate(islice(primes, _CERT_PRIMES)):
             if i == len(scan):
-                first = scan[-1][0] + 1 if scan else 2
-                scan.append(next(_degree_one_primes(self.min_poly, first, 1)))
+                m_ell = _squarefree_mod(self.min_poly, ell)
+                tried = range(ell) if m_ell else ()
+                scan.append((ell, [r for r in tried if not _horner(m_ell, r, ell)]))
             yield scan[i]
 
     def element(self, coords) -> NFElement:
@@ -334,11 +338,12 @@ def _certified_squarefree(f: Poly) -> bool:
     squarefree; False proves nothing.  K is the field of f's coefficients,
     Q for rationals.
 
-    The scan runs over the degree-one primes (l, r) of K from
-    _degree_one_primes(m, 2, 1), with m = K.min_poly, skipping every l
-    that divides a denominator of a coordinate of f.  Then every
-    coefficient of f lies in Z_(l)[theta], and theta -> r is a ring map
-    phi: Z_(l)[theta] -> GF(l), because m(r) = 0 (mod l).  The resultant
+    The scan runs over the degree-one primes (l, r) of K above the first
+    _CERT_PRIMES primes, from K._certificate_primes, with m = K.min_poly,
+    skipping every l that divides a denominator of a coordinate of f.
+    Then every coefficient of f lies in Z_(l)[theta], and theta -> r is
+    a ring map phi: Z_(l)[theta] -> GF(l), because m(r) = 0 (mod l),
+    which _images applies to the coefficients of f.  The resultant
     Res(f, f') = +-lc(f) disc(f) is an integer polynomial in the
     coefficients of f, so phi(Res(f, f')) is the resultant of phi(f) and
     phi(f') taken at the formal degrees (n, n - 1).  When lc(f)(r) != 0
@@ -645,90 +650,100 @@ def flatten(
 # Radical membership
 
 
-# Work bounds of the power-residue sieve: primes l scanned per call and
-# usable (l, r) pairs after which it gives up
+# Work bounds of the power-residue sieve: primes l scanned per call, and
+# usable pairs (l, r) after which it gives up, counted per prime: a prime
+# adds the number of roots r of m mod l, all of which it tests at once
 _SIEVE_PRIMES = 40
 _SIEVE_PAIRS = 8
 
 
-def _degree_one_primes(m: Poly, first: int, step: int):
-    """Every prime l = first, first + step, ..., with no ceiling, with
-    the roots r of m mod l: the degree-one primes (l, r) of Q[t]/(m).
-
-    The roots are listed only when l divides no denominator of m and m
-    mod l is squarefree, so that l does not divide disc(m); otherwise the
-    list is empty.  Callers bound how many primes they read.
-    """
-    den = math.lcm(*(c.denominator for c in m.coeffs))
-    for ell in count(first, step):
-        if not is_prime(ell):
-            continue
-        roots: list[int] = []
-        if den % ell:
-            m_ell = zz.gf_from_zz([_mod(c, ell) for c in m.coeffs], ell)
-            if zz.gf_is_squarefree(m_ell, ell):
-                roots = zz.gf_roots(m_ell, ell)
-        yield ell, roots
+def _squarefree_mod(m: Poly, ell: int) -> list[int] | None:
+    """m mod l in GF(l)[x] when l divides no denominator of m and m mod l
+    is squarefree, so that l does not divide disc(m); else None."""
+    if any(c.denominator % ell == 0 for c in m.coeffs):
+        return None
+    m_ell = zz.gf_from_zz([_mod(c, ell) for c in m.coeffs], ell)
+    return m_ell if zz.gf_is_squarefree(m_ell, ell) else None
 
 
 def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     """True only when a degree-one prime of L proves that the nonzero a
     is not an n-th power in L; False proves nothing.
 
-    The scan runs over the degree-one primes of _degree_one_primes(m,
-    n + 1, n) with m = L.min_poly: primes l with n | l - 1 that divide no
-    denominator of m or of a, and for which m mod l is squarefree.  Then
-    l does not divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
+    The scan runs over the first _SIEVE_PRIMES primes l = 1 (mod n),
+    skipping every l that divides a denominator of a and every l that
+    _squarefree_mod(m, l) refuses, with m = L.min_poly.  Then l does not
+    divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
     discriminant prime to l and is the integral closure of Z_(l) in L.
     If beta**n = a, then beta is integral over Z_(l), because a is
-    l-integral, hence beta = g(u) with g in Z_(l)[x].  For each root r of
+    l-integral, hence beta = h(u) with h in Z_(l)[x].  For each root r of
     m mod l, u -> r is a ring map Z_(l)[u] -> GF(l) (a degree-one prime
-    above l), so v = a(r) equals g(r)**n.  If v != 0, v lies in the
-    subgroup of n-th powers of GF(l)*, of index n since n | l - 1, which
-    is the kernel of v -> v**((l-1)/n).  So v**((l-1)/n) != 1 (mod l)
-    proves that a is not an n-th power.
+    above l), so a(r) = h(r)**n.
+
+    The roots are not found one by one.  g = gcd(m mod l, x**l - x) is
+    the product of x - r over them (von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 14.2), squarefree because m mod l is, so
+    GF(l)[x]/(g) is the product of one GF(l) per root, by the Chinese
+    remainder theorem, and c = a**((l-1)/n) mod g has the value
+    c(r) = a(r)**((l-1)/n) at each root r.  If a = beta**n, each c(r) is
+    0, where a(r) = 0, or h(r)**(l-1) = 1, so c*(c - 1) = 0 (mod g).
+    Conversely, where a(r) != 0, c(r) is an n-th root of unity, which is
+    1 exactly when a(r) lies in the subgroup of n-th powers of GF(l)*, of
+    index n since n | l - 1.  So c*(c - 1) != 0 (mod g) says that a(r)
+    is a nonzero non-n-th power at some root r, and proves that a is not
+    an n-th power.
 
     By Kummer theory and Chebotarev's density theorem a non-n-th power
     fails this test at a positive density of primes (Lang, Algebra, VI
     section 8; Neukirch, Algebraic Number Theory, VII section 13), so a
     few primes usually settle it.  The work is bounded by _SIEVE_PRIMES
-    primes and _SIEVE_PAIRS usable pairs (l, r).
+    primes and _SIEVE_PAIRS pairs (l, r), the roots of one prime counted
+    together.
     """
-    scan = islice(_degree_one_primes(L.min_poly, n + 1, n), _SIEVE_PRIMES)
+    den = math.lcm(*(c.denominator for c in a.coords))
     pairs = 0
-    for ell, (v,) in _images(scan, [a.coords]):
-        if not v:
+    for ell in islice(filter(is_prime, count(n + 1, n)), _SIEVE_PRIMES):
+        m_ell = _squarefree_mod(L.min_poly, ell) if den % ell else None
+        if m_ell is None:
             continue
-        if pow(v, (ell - 1) // n, ell) != 1:
+        x_l = zz.gf_sub(zz.gf_pow_mod([0, 1], ell, m_ell, ell), [0, 1], ell)
+        g = zz.gf_gcd(m_ell, x_l, ell)
+        if len(g) == 1:
+            continue
+        a_ell = zz.gf_from_zz([_mod(c, ell) for c in a.coords], ell)
+        c = zz.gf_pow_mod(a_ell, (ell - 1) // n, g, ell)
+        if zz.gf_rem(zz.gf_mul(c, zz.gf_sub(c, [1], ell), ell), g, ell):
             return True
-        pairs += 1
-        if pairs == _SIEVE_PAIRS:
+        pairs += len(g) - 1
+        if pairs >= _SIEVE_PAIRS:
             return False
     return False
 
 
 def _images(scan, rows):
     """(l, [row(r) mod l for row in rows]) for each degree-one prime (l, r)
-    of scan, an iterable of (l, roots) pairs as _degree_one_primes gives,
-    whose l divides no denominator of the rows.
+    of scan, an iterable of (l, roots) pairs as K._certificate_primes
+    gives, whose l divides no denominator of the rows.
 
     A row holds power-basis coordinates.  For such an l, every row is an
     element of Z_(l)[theta], and theta -> r is the ring map to GF(l)
-    through which both callers argue.
+    through which _certified_squarefree argues.
     """
     den = math.lcm(*(x.denominator for row in rows for x in row))
     for ell, roots in scan:
         if not roots or den % ell == 0:
             continue
-        reduced = [[_mod(x, ell) for x in reversed(row)] for row in rows]
+        reduced = [[_mod(x, ell) for x in row] for row in rows]
         for r in roots:
-            vals = []
-            for row in reduced:
-                v = 0
-                for c in row:
-                    v = (v * r + c) % ell
-                vals.append(v)
-            yield ell, vals
+            yield ell, [_horner(row, r, ell) for row in reduced]
+
+
+def _horner(f: list[int], r: int, ell: int) -> int:
+    """f(r) mod l for ascending coefficients f, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * r + c) % ell
+    return v
 
 
 def _mod(c: Fraction, ell: int) -> int:
@@ -738,12 +753,12 @@ def _mod(c: Fraction, ell: int) -> int:
 def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
     """The roots of x**n - b in L, for a nonzero b.
 
-    A power-residue sieve (_residue_sieve_rejects) first looks for a
-    degree-one prime of L, above some l = 1 (mod n) prime to disc(m_L)
-    and to the denominators, at which b is not an n-th power residue.  A
-    root beta would be l-integral and map to an n-th root of b(r) in
-    GF(l), so such a prime proves there is none (Lang, Algebra, VI
-    section 8; Neukirch, Algebraic Number Theory, VII section 13).
+    A power-residue sieve (_residue_sieve_rejects) first tests, for some
+    l = 1 (mod n) prime to disc(m_L) and to the denominators, every
+    degree-one prime of L above l at once, by one exponentiation modulo
+    gcd(m_L mod l, x**l - x); at a prime where b is not an n-th power
+    residue, a root beta would be l-integral and map to an n-th root of
+    b(r) in GF(l), so there is none (Lang, Algebra, VI section 8).
     Otherwise x**n - b is factored over L and the roots are read off its
     linear factors, so the answer does not depend on the sieve.  x**n - b
     is built by substitute_power, which holds n to the degree cap.

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count, islice
 
 from qrank._intfactor import gf_factor_squarefree, gf_from_zz, gf_is_squarefree, gf_monic
-from qrank.arith import primes_upto
+from qrank.arith import is_prime, primes_upto
 from qrank.hereditary import has_root_of_unity_root
 from qrank.numfield import (
     QQ,
@@ -14,6 +15,8 @@ from qrank.numfield import (
     NumberField,
     factor_over_K,
     factor_over_Q,
+    _SIEVE_PAIRS,
+    _SIEVE_PRIMES,
     _to_primitive_int,
 )
 from qrank.poly import Poly, divrem, gcd
@@ -143,6 +146,39 @@ def pth_root_reference(L: NumberField, a: NFElement, n: int) -> NFElement | None
     _, factors = factor_over_K(L, f)
     roots = [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
     return min(roots, key=lambda r: r.sort_key()) if roots else None
+
+
+def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:
+    """The power-residue sieve root by root.  Over the first _SIEVE_PRIMES
+    primes l = 1 (mod n) that divide no denominator of a or of
+    m = L.min_poly and keep m mod l squarefree, the roots r of m mod l
+    are found by trying every residue: True at the first r with
+    a(r) != 0 and a(r)**((l-1)/n) != 1 (mod l), False once _SIEVE_PAIRS
+    roots have passed, the roots of one prime counted together."""
+    m = L.min_poly.coeffs
+
+    def mod(c, ell):
+        return c.numerator * pow(c.denominator, -1, ell) % ell
+
+    def value(coeffs, r, ell):
+        return sum(mod(c, ell) * pow(r, i, ell) for i, c in enumerate(coeffs)) % ell
+
+    pairs = 0
+    for ell in islice(filter(is_prime, count(n + 1, n)), _SIEVE_PRIMES):
+        if any(c.denominator % ell == 0 for c in (*m, *a.coords)):
+            continue
+        m_ell = gf_from_zz([mod(c, ell) for c in m], ell)
+        if not gf_is_squarefree(m_ell, ell):
+            continue
+        roots = [r for r in range(ell) if value(m, r, ell) == 0]
+        for r in roots:
+            v = value(a.coords, r, ell)
+            if v and pow(v, (ell - 1) // n, ell) != 1:
+                return True
+        pairs += len(roots)
+        if pairs >= _SIEVE_PAIRS:
+            return False
+    return False
 
 
 def random_monic(rng: random.Random, deg: int, bound: int = 10) -> Poly:

@@ -16,6 +16,7 @@ from helpers import (
     norm_poly_reference,
     pth_root_reference,
     qpoly,
+    residue_sieve_reference,
     squarefree_decomposition_reference,
     random_irreducible,
     roots_in,
@@ -566,28 +567,6 @@ def test_gf_factor_squarefree_returns_the_berlekamp_count():
             check(f, p)
 
 
-def test_gf_roots_match_brute_force_at_every_prime_below_200():
-    rng = random.Random(16)
-    for p in primes_upto(199):
-        for _ in range(12):
-            if rng.random() < 0.5:
-                f = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [rng.randrange(1, p)]
-            else:
-                f = _gf_product([[rng.randrange(p), 1] for _ in range(rng.randint(1, 6))], p)
-            want = [r for r in range(p) if sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0]
-            assert _intfactor.gf_roots(f, p) == want, (p, f)
-
-
-def test_gf_roots_at_a_61_bit_prime():
-    # l = 3 (mod 4), so x**2 + 1 has no root mod l
-    ell = 2**61 - 1
-    roots = [0, 5, 17, 2**40 + 3, ell - 1]
-    linear = [[-r % ell, 1] for r in roots]
-    f = _gf_product(linear + [[1, 0, 1]], ell)
-    assert _intfactor.gf_roots(f, ell) == roots
-    assert _intfactor.gf_roots([1, 0, 1], ell) == []
-
-
 def test_hensel_lift_overshooting_last_step():
     # d = ceil(log2 l) quadratic steps reach p**(2**d) > p**l; the last
     # one updates no Bezout pair, and the lift must still be exact mod p**l
@@ -806,6 +785,17 @@ def _nonintegral(rng, L):
             return e
 
 
+def _sieve_units(fields):
+    """A unit of each of _sieve_fields(), None for the cubic."""
+    return [
+        fields[0].gen,
+        fields[1].gen + 1,
+        (fields[2].gen - 1) * Fraction(1, 2),
+        None,
+        fields[4].gen,
+    ]
+
+
 def test_residue_sieve_never_rejects_true_powers():
     rng = random.Random(31)
     for L in _sieve_fields():
@@ -829,19 +819,36 @@ def test_residue_sieve_never_rejects_true_powers():
     assert pth_root_in_field(L, beta**2, 2) in (beta, -beta)
 
 
+def test_residue_sieve_matches_root_by_root_reference():
+    # one exponentiation modulo gcd(m, x**l - x) against a(r)**((l-1)/n)
+    # at every root r found by trying residues, with the same budgets
+    rng = random.Random(33)
+    fields = _sieve_fields()
+    for L, u in zip(fields, _sieve_units(fields)):
+        elements = [_nonintegral(rng, L) for _ in range(3)]
+        integral = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(L.degree - 1)]
+        elements.append(L.element(integral))
+        if u is not None:
+            elements += [u, -(u**3)]
+        for n in (2, 3, 4, 5):
+            for a in elements + [b**n for b in elements]:
+                want = residue_sieve_reference(L, a, n)
+                assert numfield._residue_sieve_rejects(L, a, n) == want, (L, a, n)
+    # 2 - i vanishes at the root 2 of t**2 + 1 mod 5, the first usable l
+    # for n = 2 and n = 4, and is -1 at the other root 3: its square and
+    # fourth power are true powers that a test of c == 1 alone would reject
+    Qi = fields[0]
+    for b, n in (((2 - Qi.gen) ** 2, 2), ((2 - Qi.gen) ** 4, 4)):
+        assert not residue_sieve_reference(Qi, b, n)
+        assert not numfield._residue_sieve_rejects(Qi, b, n)
+
+
 def test_power_tests_match_exact_reference():
     # sieve-then-exact against exact-only on units, non-units and true
     # powers: same roots, same verdicts
     rng = random.Random(32)
     fields = _sieve_fields()
-    units = [
-        fields[0].gen,
-        fields[1].gen + 1,
-        (fields[2].gen - 1) * Fraction(1, 2),
-        None,
-        fields[4].gen,
-    ]
-    for L, u in zip(fields, units):
+    for L, u in zip(fields, _sieve_units(fields)):
         elements = [_nonintegral(rng, L) for _ in range(2)]
         integral = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(L.degree - 1)]
         elements.append(L.element(integral))
@@ -860,7 +867,8 @@ def test_power_tests_match_exact_reference():
 def test_pth_root_of_a_unit_needs_no_factoring(monkeypatch):
     # u, a root of x^4 + 3x^3 + 3x + 1, is a unit, so the norm prefilter
     # of the power test passes every odd p; the sieve settles every prime
-    # up to that test's bound (362) without factoring x**p - u
+    # up to that test's bound (362), and 9973, the largest prime below the
+    # default QRANK_MAX_PRIME, without factoring x**p - u
     L = flatten(QQ, qpoly(1, 3, 0, 3, 1)).field
     calls = []
     original = numfield.factor_over_K
@@ -870,7 +878,7 @@ def test_pth_root_of_a_unit_needs_no_factoring(monkeypatch):
         return original(K, f)
 
     monkeypatch.setattr(numfield, "factor_over_K", counting)
-    for p in primes_upto(362):
+    for p in [*primes_upto(362), 9973]:
         assert pth_root_in_field(L, L.gen, p) is None
         assert calls == [], p
     assert not in_minus4_fourth_powers(L, L.gen)
