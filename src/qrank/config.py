@@ -3,9 +3,10 @@
 QRANK_MAX_DEGREE caps the degree of every polynomial the engine factors
 or builds: P itself, before its first factorization (validation,
 hereditary search), and every P(x**n), which poly.substitute_power checks
-before it builds it (hereditary search, power test, reduct ranks,
-prolongation, oracles, eigenvalue compatibility).  The hereditary
-worklist also bounds P(x**acc) before each split and before its lift.
+before it builds it (hereditary search, power test, prolongation,
+oracles, eigenvalue compatibility).  The hereditary worklist also bounds
+P(x**acc) before each split and before its lift.  Reduct ranks check
+deg P * n, though they build only P(x**gcd(n, N)).
 check_degree is the one place that reads it.
 QRANK_MAX_PRIME caps the prime search of the power-obstruction test.
 Exceeding either is always a loud BudgetExceeded, never a silent pass; a

@@ -6,16 +6,22 @@ factor counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import config
 from .errors import (
+    BudgetExceeded,
     NotMonic,
     ValidationFailed,
     ZeroConstantTerm,
     ZeroPolynomial,
 )
-from .hereditary import has_root_of_unity_root, hereditary_factorization
+from .hereditary import (
+    _worklist,
+    has_root_of_unity_root,
+    hereditary_factorization,
+)
 from .numfield import (
     NFElement,
     NumberField,
@@ -167,7 +173,9 @@ def rank_in_reduct(g: CompanionPresentation, n: int) -> int:
     """Lascar rank of the group in the signature of the n-th
     compositional root: the number of irreducible factors (with
     multiplicity) of P(x**n) over the ring, which is the length of
-    subgroup_degree_spectrum(g, n)."""
+    subgroup_degree_spectrum(g, n).  By the law proved there, it equals
+    rank_in_reduct(g, gcd(n, N)) for the exponent N of the hereditary
+    factorization of P."""
     return len(subgroup_degree_spectrum(g, n))
 
 
@@ -208,14 +216,41 @@ def subgroup_degree_spectrum(g: CompanionPresentation, n: int) -> list[int]:
     """Degrees (with multiplicity, sorted) of the irreducible factors of
     P(x**n) over the ring: the possible dimensions of minimal
     subgroups definable in the n-th root signature.  The singleton
-    {m*n} means no proper minimal subgroup exists at this n.  P is
-    validated first (validate holds it to the degree cap), then
-    substitute_power holds the degree m*n of P(x**n) to the cap."""
+    [deg P * n] means no proper minimal subgroup exists at this n.
+
+    They are read off the hereditary factorization P(x**N) = prod H_i,
+    by the law (Capelli's theorem in the form of Schinzel, Polynomials
+    with special regard to reducibility, section 2.1): with d = gcd(n, N)
+    and m = n / d, every irreducible factor Q of P(x**d) stays
+    irreducible as Q(x**m).  So the spectrum at n is m times the
+    spectrum at d, and [deg P * n] when d = 1.
+
+    Proof sketch.  Let R be the roots of Q, one Galois orbit of nonzero
+    numbers, and X_j the y with y**j in R; the factors of Q(x**j), which is
+    squarefree since Q(0) != 0, match the Galois orbits on X_j.  Put k = N/d,
+    so gcd(m, k) = 1; then y -> (y**k, y**m) is an equivariant bijection of
+    X_mk onto the fiber product of X_m and X_k over R.  Every orbit of X_m
+    and of X_k maps onto R, so each pair of orbits meets in a nonempty
+    stable set, and X_mk has at least #orbits(X_m) * #orbits(X_k) orbits.
+    But Q(x**k) divides the squarefree P(x**N), so it is a product of some
+    H_i, and each H_i(x**m) is irreducible: X_mk has exactly #orbits(X_k)
+    orbits.  Hence X_m is one orbit, and Q(x**m) is irreducible.
+
+    P is validated first (validate holds it to the degree cap), then
+    deg P * n is held to the cap, although only P(x**d) is built.  When
+    the hereditary worklist passes a budget, N = n, and P(x**n) is
+    factored directly."""
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
     _require_valid(g)
-    _, factors = factor_over_K(g.ring, substitute_power(g.char_poly, n))
-    out: list[int] = []
-    for f, m in factors:
-        out.extend([f.degree] * m)
-    return sorted(out)
+    P = g.char_poly
+    config.check_degree(P.degree, n)
+    try:
+        N = _worklist(g.ring, P).N
+    except BudgetExceeded:
+        N = n
+    d = math.gcd(n, N)
+    if d == 1:
+        return [P.degree * n]
+    _, factors = factor_over_K(g.ring, substitute_power(P, d))
+    return sorted(f.degree * (n // d) for f, m in factors for _ in range(m))

@@ -287,7 +287,7 @@ def _check_preconditions(K: NumberField, Q: Poly) -> None:
         raise ZeroConstantTerm("zero constant term: x divides the input")
     config.check_degree(Q.degree, 1)
     if not is_irreducible(K, Q):
-        raise NotIrreducible(f"{Q!r} is reducible over the base field")
+        raise NotIrreducible("reducible over the base field")
     if has_root_of_unity_root(K, Q):
         raise RootOfUnity("some root is a root of unity")
 
@@ -331,6 +331,13 @@ def hereditary_factorization(
     cap as well.
     """
     _check_preconditions(K, P)
+    return _worklist(K, P)
+
+
+def _worklist(K: NumberField, P: Poly) -> HereditaryFactorization:
+    """hereditary_factorization for a P whose preconditions the caller
+    has already checked (groups.subgroup_degree_spectrum validates P
+    first), so they are not tested a second time."""
     P = K.poly(P.coeffs).monic()
     base_deg = P.degree
 

@@ -42,7 +42,7 @@ class NumberField:
         coeffs = tuple(Fraction(c) for c in min_poly.coeffs)
         min_poly = Poly(coeffs)
         if not trusted and d > 1 and not is_irreducible(QQ, min_poly):
-            raise NotIrreducible(f"{min_poly!r} is reducible over Q")
+            raise NotIrreducible("defining polynomial is reducible over Q")
         self.min_poly = min_poly
         self.degree = d
         # t**(d+i) mod m for i = 0..d-2, as coordinate rows
@@ -618,7 +618,7 @@ def flatten(
         raise NotIrreducible("need a nonconstant polynomial")
     Q = K.poly(Q.coeffs).monic()
     if not trusted and Q.degree > 1 and not is_irreducible(K, Q):
-        raise NotIrreducible(f"{Q!r} is reducible over the base field")
+        raise NotIrreducible("reducible over the base field")
     if Q.degree == 1:
         return FlattenedExtension(K, -Q.coeffs[0], 0)
     if K.degree == 1:

@@ -19,7 +19,7 @@ from qrank.numfield import (
     _SIEVE_PRIMES,
     _to_primitive_int,
 )
-from qrank.poly import Poly, divrem, gcd
+from qrank.poly import Poly, divrem, gcd, substitute_power
 
 
 def qpoly(*coeffs) -> Poly:
@@ -179,6 +179,13 @@ def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:
         if pairs >= _SIEVE_PAIRS:
             return False
     return False
+
+
+def reduct_spectrum_reference(K: NumberField, P: Poly, n: int) -> list[int]:
+    """Sorted degrees, with multiplicity, of the irreducible factors of
+    P(x**n) over K, by factoring P(x**n) directly."""
+    _, factors = factor_over_K(K, substitute_power(P, n))
+    return sorted(w.degree for w, m in factors for _ in range(m))
 
 
 def random_monic(rng: random.Random, deg: int, bound: int = 10) -> Poly:

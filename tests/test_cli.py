@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import qpoly, reduct_spectrum_reference
 from qrank import groups, numfield
 from qrank.arith import primes_upto
 from qrank.groups import AMBIENTS
@@ -98,7 +99,49 @@ def test_reduct_rank_factors_once(monkeypatch):
     )
     assert code == EXIT_OK
     assert report["result"]["degree_spectrum"] == [2, 2]
-    assert degrees.count(4) == 1
+    # N = 2 for x - 9, so the spectrum is read off P(x**2): P(x**4) is
+    # never factored
+    assert degrees.count(4) == 0
+
+
+def test_reduct_rank_answers_past_the_hereditary_budget(monkeypatch):
+    # x - 4096 = x - 2**12 has N = 12, past a cap of 10: the hereditary
+    # search stops, and reduct-rank factors P(x**n) directly instead
+    monkeypatch.setenv("QRANK_MAX_DEGREE", "10")
+    report, code = run_task(
+        "hereditary", {"field": "Q", "poly": {"coeffs": ["-4096", "1"]}}
+    )
+    assert code == EXIT_BUDGET
+    for n, spectrum in ((5, [5]), (10, [5, 5])):
+        report, code = run_task(
+            "reduct-rank",
+            {"ring": "Q", "char_poly": {"coeffs": ["-4096", "1"]}, "n": n},
+        )
+        assert code == EXIT_OK
+        assert report["result"]["degree_spectrum"] == spectrum
+        assert spectrum == reduct_spectrum_reference(
+            numfield.QQ, qpoly(-4096, 1), n
+        )
+
+
+def test_reducible_input_errors_name_no_python_objects():
+    # x**2 + 1 = (x - i)(x + i) over Q(i), and t**2 - 4 defines no field
+    gaussian = {"min_poly": {"coeffs": ["1", "0", "1"]}}
+    for command, payload in (
+        ("hereditary", {"field": gaussian, "poly": {"coeffs": ["1", "0", "1"]}}),
+        (
+            "validate",
+            {
+                "ring": {"min_poly": {"coeffs": ["-4", "0", "1"]}},
+                "char_poly": {"coeffs": ["-3", "1"]},
+            },
+        ),
+    ):
+        report, code = run_task(command, payload)
+        assert code == EXIT_VALIDATION, report
+        assert "reducible" in report["error"]
+        for name in ("Poly(", "NFElement(", "Fraction("):
+            assert name not in report["error"], report["error"]
 
 
 def test_fixed_field_command():

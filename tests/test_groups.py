@@ -1,9 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import qpoly, random_irreducible, sqrt2_field
+from helpers import (
+    gaussian_field,
+    qpoly,
+    random_irreducible,
+    reduct_spectrum_reference,
+    sqrt2_field,
+    sqrtm3_field,
+)
 from qrank.classify import rationality_exponent
 from qrank.errors import (
     BudgetExceeded,
@@ -118,6 +126,9 @@ def test_rank_in_reduct_validation():
         rank_in_reduct(pres(-1, 1), 2)
     with pytest.raises(BudgetExceeded):
         rank_in_reduct(pres(-9, 1), 500)
+    # validation comes before the degree cap, so it wins at any n
+    with pytest.raises(ValidationFailed):
+        rank_in_reduct(pres(-1, 1), 10**6)
 
 
 def test_qacfa_rank_paper_groups():
@@ -193,6 +204,47 @@ def test_subgroup_degree_spectrum_examples():
     assert subgroup_degree_spectrum(pres(-9, 1), 2) == [1, 1]
     assert subgroup_degree_spectrum(pres(-12, 1), 2) == [2]
     assert subgroup_degree_spectrum(pres(4, 1), 4) == [2, 2]
+
+
+def _spectra_match_reference(g: CompanionPresentation) -> int:
+    """Compare the spectrum with direct factoring for every n <= 24 with
+    deg P * n * [K:Q] <= 72; returns the hereditary N of P."""
+    K, P = g.ring, g.char_poly
+    for n in range(1, 25):
+        if P.degree * n * K.degree > 72:
+            break
+        assert subgroup_degree_spectrum(g, n) == reduct_spectrum_reference(
+            K, P, n
+        ), (P, n)
+    return qacfa_rank(g).witness.N
+
+
+def test_subgroup_degree_spectrum_matches_direct_factoring():
+    # random P of criterion 6's shape; most have N = 1
+    rng = random.Random(18)
+    checked = 0
+    while checked < 12:
+        g = CompanionPresentation(QQ, random_irreducible(rng, 3, 10))
+        if validate(g).passes:
+            _spectra_match_reference(g)
+            checked += 1
+    # x - r with r = +-b**k: N > 1, and 1 < gcd(n, N) < N at some n
+    partial = False
+    for b in (2, 3):
+        for k in (2, 3, 4, 6, 8):
+            for sign in (1, -1):
+                N = _spectra_match_reference(pres(-sign * b**k, 1))
+                partial |= any(1 < math.gcd(n, N) < N for n in range(1, 25))
+    assert partial
+    # one valid input over each field, each with N > 1: 3+4i = (2+i)**2,
+    # 3+2*sqrt2 = (1+sqrt2)**2, 2+2*sqrt-3 = 4 times a sixth root of unity
+    for K, a in (
+        (gaussian_field(), (3, 4)),
+        (sqrt2_field(), (3, 2)),
+        (sqrtm3_field(), (2, 2)),
+    ):
+        g = CompanionPresentation(K, K.poly([-K.element(a), K.one]))
+        assert _spectra_match_reference(g) > 1
 
 
 def test_rank_monotone_in_reduct_divisibility():
