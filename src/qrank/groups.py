@@ -6,12 +6,10 @@ factor counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import config
 from .errors import (
-    BudgetExceeded,
     NotMonic,
     ValidationFailed,
     ZeroConstantTerm,
@@ -25,7 +23,6 @@ from .hereditary import (
 from .numfield import (
     NFElement,
     NumberField,
-    factor_over_K,
     is_irreducible,
     squarefree_decomposition,
 )
@@ -173,9 +170,7 @@ def rank_in_reduct(g: CompanionPresentation, n: int) -> int:
     """Lascar rank of the group in the signature of the n-th
     compositional root: the number of irreducible factors (with
     multiplicity) of P(x**n) over the ring, which is the length of
-    subgroup_degree_spectrum(g, n).  By the law proved there, it equals
-    rank_in_reduct(g, gcd(n, N)) for the exponent N of the hereditary
-    factorization of P."""
+    subgroup_degree_spectrum(g, n)."""
     return len(subgroup_degree_spectrum(g, n))
 
 
@@ -218,39 +213,24 @@ def subgroup_degree_spectrum(g: CompanionPresentation, n: int) -> list[int]:
     subgroups definable in the n-th root signature.  The singleton
     [deg P * n] means no proper minimal subgroup exists at this n.
 
-    They are read off the hereditary factorization P(x**N) = prod H_i,
-    by the law (Capelli's theorem in the form of Schinzel, Polynomials
-    with special regard to reducibility, section 2.1): with d = gcd(n, N)
-    and m = n / d, every irreducible factor Q of P(x**d) stays
-    irreducible as Q(x**m).  So the spectrum at n is m times the
-    spectrum at d, and [deg P * n] when d = 1.
-
-    Proof sketch.  Let R be the roots of Q, one Galois orbit of nonzero
-    numbers, and X_j the y with y**j in R; the factors of Q(x**j), which is
-    squarefree since Q(0) != 0, match the Galois orbits on X_j.  Put k = N/d,
-    so gcd(m, k) = 1; then y -> (y**k, y**m) is an equivariant bijection of
-    X_mk onto the fiber product of X_m and X_k over R.  Every orbit of X_m
-    and of X_k maps onto R, so each pair of orbits meets in a nonempty
-    stable set, and X_mk has at least #orbits(X_m) * #orbits(X_k) orbits.
-    But Q(x**k) divides the squarefree P(x**N), so it is a product of some
-    H_i, and each H_i(x**m) is irreducible: X_mk has exactly #orbits(X_k)
-    orbits.  Hence X_m is one orbit, and Q(x**m) is irreducible.
+    They come from the hereditary worklist aimed at n.  By Capelli's
+    criterion (Lang, Algebra, VI section 9; Schinzel, Polynomials with
+    special regard to reducibility, section 2.1), for Q irreducible over
+    K with a root alpha, Q(x**m) is reducible exactly when alpha is a
+    p-th power in K(alpha) for some prime p dividing m, or 4 divides m
+    and alpha lies in -4*K(alpha)**4.  The worklist splits a factor Q
+    reached at acc only through such an obstruction for m = n/acc, so
+    it stops at a factorization P(x**N) = prod F_i with N dividing n in
+    which every F_i(x**(n/N)) is irreducible, and the spectrum is the
+    degrees of the F_i times n/N.
 
     P is validated first (validate holds it to the degree cap), then
-    deg P * n is held to the cap, although only P(x**d) is built.  When
-    the hereditary worklist passes a budget, N = n, and P(x**n) is
-    factored directly."""
+    deg P * n is held to the cap, although at most P(x**N) is built.
+    No prime cap is read: only the primes dividing n are tested."""
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
     _require_valid(g)
     P = g.char_poly
     config.check_degree(P.degree, n)
-    try:
-        N = _worklist(g.ring, P).N
-    except BudgetExceeded:
-        N = n
-    d = math.gcd(n, N)
-    if d == 1:
-        return [P.degree * n]
-    _, factors = factor_over_K(g.ring, substitute_power(P, d))
-    return sorted(f.degree * (n // d) for f, m in factors for _ in range(m))
+    hf = _worklist(g.ring, P, n)
+    return sorted(f.degree * (n // hf.N) for f in hf.factors)

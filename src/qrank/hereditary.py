@@ -8,7 +8,9 @@ irreducibility criterion this happens only if alpha is a p-th power in
 K(alpha) for some prime p, or alpha lies in -4*K(alpha)**4.  The primes
 that need testing are bounded by height(alpha) / h_min, where h_min is
 a proven lower bound for heights of candidate roots; elements of
-degree 1 are handled by exact integer exponent arithmetic instead.
+degree 1 are handled by exact integer exponent arithmetic instead.  A
+search aimed at one exponent n, as for reduct ranks, needs only the
+primes dividing n (Capelli's criterion) and no height bound.
 
 Each prime p is first filtered by norms, then by an exact power-residue
 sieve inside numfield.pth_root_in_field and in_minus4_fourth_powers: if
@@ -112,9 +114,14 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
 class HereditaryCertificate:
     """Per-factor evidence.
 
-    For an irreducible verdict: every prime up to prime_bound was tested
-    (the listed ones needed a field computation) and the minus-four test
-    failed.  For an obstructed verdict capelli_certificate stores the
+    For an irreducible verdict the root is a p-th power for no prime up
+    to prime_bound, and the minus-four test failed.  primes_tested lists
+    the primes the scan went through, in order and up to the obstructing
+    one if any: for an irrational root, every prime up to prime_bound,
+    those the norm filter settles included; for a rational root, the
+    primes dividing prime_bound, the perfect-power exponent of its
+    absolute value, which are the only ones that can make it a p-th
+    power.  For an obstructed verdict capelli_certificate stores the
     witnessed split of factor(x**e).  The lift exponent says which power
     of x turned the tested base factor into the reported one; heredity
     is preserved by that substitution.
@@ -198,12 +205,13 @@ def _certificate(
     )
 
 
-def _rational_power_test(Q: Poly, r: Fraction) -> HereditaryCertificate:
+def _rational_power_test(Q: Poly, r: Fraction, m: int) -> HereditaryCertificate:
     """Exact obstruction scan for Q with a rational root r: r can be a
     p-th power only for primes p dividing the perfect-power exponent g
-    of |r|."""
+    of |r|, and of those only the primes dividing m are scanned (all of
+    them for m = 0); the minus-four test runs only when 4 divides m."""
     assert r not in (0, 1, -1)
-    g = perfect_power_exponent(abs(r))
+    g = math.gcd(perfect_power_exponent(abs(r)), m)
     tested = []
     for p in primes_upto(g):
         if g % p:
@@ -214,41 +222,53 @@ def _rational_power_test(Q: Poly, r: Fraction) -> HereditaryCertificate:
         if rational_nth_root(r, p) is not None:
             return _certificate(Q, g, tested, Obstruction.pth_power(p))
     obstruction = None
-    if r < 0 and rational_nth_root(-r / 4, 4) is not None:
+    if r < 0 and m % 4 == 0 and rational_nth_root(-r / 4, 4) is not None:
         obstruction = Obstruction.minus_four()
     return _certificate(Q, g, tested, obstruction)
 
 
-def _power_test(K: NumberField, Q: Poly) -> HereditaryCertificate:
+def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     """Obstruction scan for an irreducible factor Q over K, as Q's
     certificate with no witnessed split; preconditions (irreducible,
     Q(0) != 0, no root-of-unity roots) are the caller's.
+
+    A target m >= 1 asks only whether Q(x**m) is reducible.  By Capelli's
+    criterion that needs only the primes dividing m, and the minus-four
+    test only when 4 divides m, so no height bound is computed and the
+    prime cap is not read.  The default m = 0 scans for every exponent
+    at once (every integer divides 0): all primes up to the height
+    bound, held to the prime cap.
 
     The norms of the prefilters come from the minimal polynomial mp of
     alpha, with no element norm: the characteristic polynomial of alpha
     in L is mp**([L:Q]/deg mp), so N(alpha) = ((-1)**deg mp *
     mp(0))**([L:Q]/deg mp), and N(-alpha/4) = (-1/4)**[L:Q] * N(alpha).
     """
-    cap = config.max_prime()
+    # read before flatten, so a malformed cap fails on rational roots too
+    cap = 0 if m else config.max_prime()
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
     if L.degree == 1:
-        return _rational_power_test(Q, alpha.as_rational())
+        return _rational_power_test(Q, alpha.as_rational(), m)
 
     # flatten returns alpha = L.gen over Q and at Trager shift 0
     mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
-    ints = _to_primitive_int(mp)
-    h_up = mahler_measure_upper(ints) / mp.degree
-    h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))
-    bound = max(1, math.ceil(h_up / h_min))
-    if bound > cap:
-        raise BudgetExceeded(
-            f"power test needs primes up to {bound}, cap is {cap}"
-        )
+    if m:
+        bound, primes = m, [p for p in primes_upto(m) if m % p == 0]
+    else:
+        ints = _to_primitive_int(mp)
+        h_up = mahler_measure_upper(ints) / mp.degree
+        h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))
+        bound = max(1, math.ceil(h_up / h_min))
+        if bound > cap:
+            raise BudgetExceeded(
+                f"power test needs primes up to {bound}, cap is {cap}"
+            )
+        primes = primes_upto(bound)
 
     norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** (L.degree // mp.degree)
     tested = []
-    for p in primes_upto(bound):
+    for p in primes:
         tested.append(p)
         # norm pre-filter: beta**p = alpha forces N(beta)**p = N(alpha)
         if norm_alpha < 0 and p % 2 == 0:
@@ -260,7 +280,7 @@ def _power_test(K: NumberField, Q: Poly) -> HereditaryCertificate:
     obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
     norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
-    if norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
+    if m % 4 == 0 and norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
         if in_minus4_fourth_powers(L, alpha):
             obstruction = Obstruction.minus_four()
     return _certificate(Q, bound, tested, obstruction)
@@ -334,10 +354,21 @@ def hereditary_factorization(
     return _worklist(K, P)
 
 
-def _worklist(K: NumberField, P: Poly) -> HereditaryFactorization:
+def _worklist(K: NumberField, P: Poly, n: int = 0) -> HereditaryFactorization:
     """hereditary_factorization for a P whose preconditions the caller
     has already checked (groups.subgroup_degree_spectrum validates P
-    first), so they are not tested a second time."""
+    first), so they are not tested a second time.
+
+    A target exponent n >= 1 restricts the search to P(x**n): a node
+    (Q, acc), where acc always divides n, is tested only for what
+    Capelli's criterion needs for Q(x**(n/acc)), namely the primes
+    dividing n/acc and the minus-four test when 4 divides n/acc.  A
+    terminal Q then stays irreducible as Q(x**(n/acc)), so N divides n
+    and each factor F of P(x**N) stays irreducible as F(x**(n/N)); the
+    certificates record only these tests.  No height bound is computed
+    and the prime cap is not read.  The default n = 0 is the hereditary
+    search itself.
+    """
     P = K.poly(P.coeffs).monic()
     base_deg = P.degree
 
@@ -345,7 +376,7 @@ def _worklist(K: NumberField, P: Poly) -> HereditaryFactorization:
     terminal: list[tuple[int, HereditaryCertificate]] = []
     while queue:
         Q, acc = queue.pop(0)
-        cert = _power_test(K, Q)
+        cert = _power_test(K, Q, n // acc)
         if cert.obstruction is None:
             terminal.append((acc, cert))
             continue

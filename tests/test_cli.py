@@ -94,19 +94,23 @@ def _record_factor_over_K(monkeypatch) -> list[int]:
 
 def test_reduct_rank_factors_once(monkeypatch):
     degrees = _record_factor_over_K(monkeypatch)
-    report, code = run_task(
-        "reduct-rank", {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}, "n": 4}
-    )
-    assert code == EXIT_OK
-    assert report["result"]["degree_spectrum"] == [2, 2]
-    # N = 2 for x - 9, so the spectrum is read off P(x**2): P(x**4) is
-    # never factored
-    assert degrees.count(4) == 0
+    for b, n, spectrum in (("9", 4, [2, 2]), ("4096", 10, [5, 5])):
+        degrees.clear()
+        payload = {"ring": "Q", "char_poly": {"coeffs": ["-" + b, "1"]}, "n": n}
+        report, code = run_task("reduct-rank", payload)
+        assert code == EXIT_OK
+        assert report["result"]["degree_spectrum"] == spectrum
+        # validation factors P, then the one square obstruction at n
+        # splits x**2 - b; the roots +-3 and +-64 are no p-th powers for
+        # p dividing n/2, so nothing else is factored
+        assert degrees == [1, 2]
 
 
 def test_reduct_rank_answers_past_the_hereditary_budget(monkeypatch):
-    # x - 4096 = x - 2**12 has N = 12, past a cap of 10: the hereditary
-    # search stops, and reduct-rank factors P(x**n) directly instead
+    # reduct-rank at n tests only the primes dividing n, builds at most
+    # P(x**N) with N | n and reads no prime cap, so it answers where the
+    # hereditary search passes a budget
+    # x - 4096 = x - 2**12 has N = 12, past a degree cap of 10
     monkeypatch.setenv("QRANK_MAX_DEGREE", "10")
     report, code = run_task(
         "hereditary", {"field": "Q", "poly": {"coeffs": ["-4096", "1"]}}
@@ -122,6 +126,27 @@ def test_reduct_rank_answers_past_the_hereditary_budget(monkeypatch):
         assert spectrum == reduct_spectrum_reference(
             numfield.QQ, qpoly(-4096, 1), n
         )
+    monkeypatch.delenv("QRANK_MAX_DEGREE")
+
+    # x - (3+4i) over Q(i): the height bound needs primes up to 7, past a
+    # prime cap of 1; 3+4i = (2+i)**2 gives [2, 2] at n = 4 and [3, 3] at 6
+    monkeypatch.setenv("QRANK_MAX_PRIME", "1")
+    gaussian = {"min_poly": {"coeffs": ["1", "0", "1"]}}
+    P = {"coeffs": [["-3", "-4"], "1"]}
+    report, code = run_task("hereditary", {"field": gaussian, "poly": P})
+    assert code == EXIT_BUDGET
+    assert report["error"] == "power test needs primes up to 7, cap is 1"
+    g = json_to_presentation({"ring": gaussian, "char_poly": P})
+    degrees = _record_factor_over_K(monkeypatch)
+    for n, spectrum in ((4, [2, 2]), (6, [3, 3])):
+        degrees.clear()
+        report, code = run_task(
+            "reduct-rank", {"ring": gaussian, "char_poly": P, "n": n}
+        )
+        assert code == EXIT_OK
+        assert report["result"]["degree_spectrum"] == spectrum
+        assert n not in degrees  # P(x**n) is never factored
+        assert spectrum == reduct_spectrum_reference(g.ring, g.char_poly, n)
 
 
 def test_reducible_input_errors_name_no_python_objects():

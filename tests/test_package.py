@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -53,3 +54,39 @@ def test_engine_loads_only_stdlib():
     ).stdout.split()
     foreign = {m for m in out if m not in sys.stdlib_module_names}
     assert foreign == {"qrank"}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads.  Every name a module
+    reads is an ast.Name, so attribute access on a module (math.gcd)
+    counts for the module's name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(
+                a.asname or a.name.partition(".")[0] for a in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_modules_import_no_unused_names():
+    sample = "import math, os.path\nfrom a import b, c as d\nmath.gcd(b)\n"
+    assert _unused_imports(sample) == ["d", "os"]
+    # __init__.py imports names to re-export them
+    package = pathlib.Path(qrank.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}
+
