@@ -8,20 +8,22 @@ here is referentially transparent; no floating point.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import EvenRootOfNegative, NonPositive
+from .errors import BudgetExceeded, EvenRootOfNegative, NonPositive
 
 FactorMap = dict[int, int]
 
 _SMALL_PRIME_LIMIT = 10**6
 
-# Deterministic Miller-Rabin witness set, valid below 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set, valid below psi_13, the least
+# strong pseudoprime to all 13 bases (Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -39,6 +41,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise BudgetExceeded(f"primality of {n} is unproven at or past {_MR_LIMIT}")
     return True
 
 
@@ -64,7 +68,8 @@ def factor_integer(n: int) -> FactorMap:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
     Trial division up to 10**6, then Pollard rho on what is left; inputs
-    here are desk-scale (coefficients, norms), not cryptographic.
+    here are desk-scale (coefficients, norms), not cryptographic, and a
+    prime factor past is_prime's proven range raises BudgetExceeded.
     """
     if n <= 0:
         raise NonPositive(f"factor_integer requires n >= 1, got {n}")

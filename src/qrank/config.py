@@ -1,13 +1,14 @@
 """Runtime budgets, set through environment variables.
 
 QRANK_MAX_DEGREE caps the degree of every polynomial the engine factors
-or builds: P itself, before its first factorization (validation,
-hereditary search), and every P(x**n), which poly.substitute_power checks
-before it builds it (hereditary search, power test, prolongation,
-oracles, eigenvalue compatibility).  The hereditary worklist also bounds
-P(x**acc) before each split and before its lift.  Reduct ranks check
-deg P * n, though they build at most P(x**N) with N dividing n.
-check_degree is the one place that reads it.
+or builds: the defining polynomial of an input ring, before its
+irreducibility check; P itself, before its first factorization
+(validation, hereditary search); and every P(x**n), which
+poly.substitute_power checks before it builds it (hereditary search,
+power test, prolongation, oracles, eigenvalue compatibility).  The
+hereditary worklist also bounds P(x**acc) before each split and before
+its lift.  Reduct ranks check deg P * n, though they build at most
+P(x**N) with N dividing n.  check_degree is the one place that reads it.
 QRANK_MAX_PRIME caps the prime search of the power-obstruction test in
 the hereditary search; reduct ranks test only the primes dividing n and
 do not read it.

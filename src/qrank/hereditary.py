@@ -7,10 +7,12 @@ reducible (alpha a root of the factor under test): by the radical
 irreducibility criterion this happens only if alpha is a p-th power in
 K(alpha) for some prime p, or alpha lies in -4*K(alpha)**4.  The primes
 that need testing are bounded by height(alpha) / h_min, where h_min is
-a proven lower bound for heights of candidate roots; elements of
-degree 1 are handled by exact integer exponent arithmetic instead.  A
-search aimed at one exponent n, as for reduct ranks, needs only the
-primes dividing n (Capelli's criterion) and no height bound.
+a proven lower bound for heights of candidate roots.  A search aimed at
+one exponent n, as for reduct ranks, needs only the primes dividing n
+(Capelli's criterion) and no height bound.  A rational alpha runs the
+same scan, in which the norm test is exact: alpha is its own norm, only
+the primes dividing its perfect-power exponent are tried, and nothing
+is factored.
 
 Each prime p is first filtered by norms, then by an exact power-residue
 sieve inside numfield.pth_root_in_field and in_minus4_fourth_powers: if
@@ -114,28 +116,37 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
 class HereditaryCertificate:
     """Per-factor evidence.
 
-    For an irreducible verdict the root is a p-th power for no prime up
-    to prime_bound, and the minus-four test failed.  primes_tested lists
-    the primes the scan went through, in order and up to the obstructing
-    one if any: for an irrational root, every prime up to prime_bound,
-    those the norm filter settles included; for a rational root, the
-    primes dividing prime_bound, the perfect-power exponent of its
-    absolute value, which are the only ones that can make it a p-th
-    power.  For an obstructed verdict capelli_certificate stores the
-    witnessed split of factor(x**e).  The lift exponent says which power
-    of x turned the tested base factor into the reported one; heredity
-    is preserved by that substitution.
+    primes_tested lists the primes the scan went through, in order and
+    up to the obstructing one if any: every prime up to the height bound
+    prime_bound, those the norm filter settles included, or the primes
+    dividing prime_bound when it is a target exponent or the perfect-power
+    exponent of a rational root.  An irreducible verdict means the root
+    is a p-th power for none of them and the minus-four test failed.  For
+    an obstructed verdict capelli_certificate stores the witnessed split
+    of factor(x**e).  The lift exponent says which power of x turned the
+    tested base factor into the reported one; heredity is preserved by
+    that substitution.
     """
 
     factor: Poly
-    verdict: str  # "hereditarily_irreducible" | "obstructed"
     prime_bound: int
     primes_tested: tuple[int, ...]
     base_factor: Poly
-    minus_four_tested: bool = True
     obstruction: Obstruction | None = None
     witnessed_split: tuple[Poly, ...] | None = None
     lift_exponent: int = 1
+
+    @property
+    def verdict(self) -> str:
+        return "hereditarily_irreducible" if self.obstruction is None else "obstructed"
+
+    @property
+    def minus_four_tested(self) -> bool:
+        """Whether the hereditary search (m = 0) ran the minus-four test,
+        which a p-th power preempts.  A target m that 4 does not divide
+        skips it whatever this says; such certificates are never
+        serialized."""
+        return self.obstruction is None or self.obstruction.kind == "minus_four"
 
 
 @dataclass(frozen=True)
@@ -191,40 +202,9 @@ def _height_floor(dL: int, deg_alpha: int, alpha_reciprocal: bool) -> float:
 def _certificate(
     Q: Poly, bound: int, tested: list[int], obstruction: Obstruction | None
 ) -> HereditaryCertificate:
-    """Q's certificate from an obstruction scan.  A scan that finds a
-    p-th power stops before the minus-four test, so minus_four_tested is
-    False exactly then."""
     return HereditaryCertificate(
-        factor=Q,
-        verdict="hereditarily_irreducible" if obstruction is None else "obstructed",
-        prime_bound=bound,
-        primes_tested=tuple(tested),
-        minus_four_tested=obstruction is None or obstruction.kind == "minus_four",
-        obstruction=obstruction,
-        base_factor=Q,
+        Q, bound, tuple(tested), base_factor=Q, obstruction=obstruction
     )
-
-
-def _rational_power_test(Q: Poly, r: Fraction, m: int) -> HereditaryCertificate:
-    """Exact obstruction scan for Q with a rational root r: r can be a
-    p-th power only for primes p dividing the perfect-power exponent g
-    of |r|, and of those only the primes dividing m are scanned (all of
-    them for m = 0); the minus-four test runs only when 4 divides m."""
-    assert r not in (0, 1, -1)
-    g = math.gcd(perfect_power_exponent(abs(r)), m)
-    tested = []
-    for p in primes_upto(g):
-        if g % p:
-            continue
-        tested.append(p)
-        if r < 0 and p % 2 == 0:
-            continue
-        if rational_nth_root(r, p) is not None:
-            return _certificate(Q, g, tested, Obstruction.pth_power(p))
-    obstruction = None
-    if r < 0 and m % 4 == 0 and rational_nth_root(-r / 4, 4) is not None:
-        obstruction = Obstruction.minus_four()
-    return _certificate(Q, g, tested, obstruction)
 
 
 def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
@@ -237,7 +217,9 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     test only when 4 divides m, so no height bound is computed and the
     prime cap is not read.  The default m = 0 scans for every exponent
     at once (every integer divides 0): all primes up to the height
-    bound, held to the prime cap.
+    bound, held to the prime cap.  For a rational root alpha the norm
+    test is exact, so the primes are those dividing gcd(e, m), e the
+    perfect-power exponent of |alpha|, and each one it passes obstructs.
 
     The norms of the prefilters come from the minimal polynomial mp of
     alpha, with no element norm: the characteristic polynomial of alpha
@@ -249,24 +231,26 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
     if L.degree == 1:
-        return _rational_power_test(Q, alpha.as_rational(), m)
-
-    # flatten returns alpha = L.gen over Q and at Trager shift 0
-    mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
-    if m:
-        bound, primes = m, [p for p in primes_upto(m) if m % p == 0]
+        norm_alpha = alpha.as_rational()
+        bound = math.gcd(perfect_power_exponent(abs(norm_alpha)), m)
     else:
-        ints = _to_primitive_int(mp)
-        h_up = mahler_measure_upper(ints) / mp.degree
-        h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))
-        bound = max(1, math.ceil(h_up / h_min))
-        if bound > cap:
-            raise BudgetExceeded(
-                f"power test needs primes up to {bound}, cap is {cap}"
-            )
-        primes = primes_upto(bound)
+        # flatten returns alpha = L.gen over Q and at Trager shift 0
+        mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
+        norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** (L.degree // mp.degree)
+        bound = m
+        if not m:
+            ints = _to_primitive_int(mp)
+            h_up = mahler_measure_upper(ints) / mp.degree
+            h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))
+            bound = max(1, math.ceil(h_up / h_min))
+            if bound > cap:
+                raise BudgetExceeded(
+                    f"power test needs primes up to {bound}, cap is {cap}"
+                )
+    primes = primes_upto(bound)
+    if m or L.degree == 1:
+        primes = [p for p in primes if bound % p == 0]
 
-    norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** (L.degree // mp.degree)
     tested = []
     for p in primes:
         tested.append(p)
@@ -275,13 +259,13 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
             continue
         if rational_nth_root(norm_alpha, p) is None:
             continue
-        if pth_root_in_field(L, alpha, p) is not None:
+        if L.degree == 1 or pth_root_in_field(L, alpha, p) is not None:
             return _certificate(Q, bound, tested, Obstruction.pth_power(p))
     obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
     norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
     if m % 4 == 0 and norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
-        if in_minus4_fourth_powers(L, alpha):
+        if L.degree == 1 or in_minus4_fourth_powers(L, alpha):
             obstruction = Obstruction.minus_four()
     return _certificate(Q, bound, tested, obstruction)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Callable
 
-from . import _intfactor as zz
+from . import _intfactor as zz, config
 from .arith import is_prime
 from .errors import (
     DivisionByZero,
@@ -41,8 +41,10 @@ class NumberField:
             raise NotIrreducible("defining polynomial must have degree >= 1")
         coeffs = tuple(Fraction(c) for c in min_poly.coeffs)
         min_poly = Poly(coeffs)
-        if not trusted and d > 1 and not is_irreducible(QQ, min_poly):
-            raise NotIrreducible("defining polynomial is reducible over Q")
+        if not trusted and d > 1:
+            config.check_degree(d, 1)
+            if not is_irreducible(QQ, min_poly):
+                raise NotIrreducible("defining polynomial is reducible over Q")
         self.min_poly = min_poly
         self.degree = d
         # t**(d+i) mod m for i = 0..d-2, as coordinate rows

@@ -8,6 +8,7 @@ low-to-high.  All decode failures raise ParseError.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, QrankError
@@ -15,6 +16,9 @@ from .groups import AMBIENTS, CompanionPresentation, RankReport, ValidationRepor
 from .hereditary import HereditaryCertificate, HereditaryFactorization
 from .numfield import NFElement, NumberField, QQ
 from .poly import Poly
+
+# Fraction alone also takes exponents: "1e10000000" is 33 million bits
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -28,6 +32,8 @@ def str_to_rat(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {s!r}")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {s!r}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

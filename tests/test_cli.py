@@ -187,6 +187,25 @@ def test_fixed_field_command():
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "characteristic, code",
+    [
+        # psi_12 = 399165290221 * 798330580441 passes the twelve prime
+        # bases up to 37; base 41 shows it composite
+        (318665857834031151167461, EXIT_VALIDATION),
+        # psi_13 = 1287836182261 * 2575672364521 passes all thirteen, so
+        # no test on hand proves or disproves it prime
+        (3317044064679887385961981, EXIT_BUDGET),
+        (2**61 - 1, EXIT_OK),
+    ],
+)
+def test_fixed_field_characteristic_primality_is_proven(characteristic, code):
+    report, got = run_task(
+        "fixed-field", {"q0": "1", "m": 3, "characteristic": characteristic}
+    )
+    assert got == code, report
+
+
 def test_budget_exceeded_exit_3(monkeypatch):
     monkeypatch.setenv("QRANK_MAX_DEGREE", "4")
     report, code = run_task(
@@ -572,6 +591,44 @@ def test_degree_cap_is_checked_before_factoring_P(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert degrees == []
+
+
+def test_degree_cap_is_checked_before_factoring_the_ring():
+    # x**257 + 2 is Eisenstein at 2; as a ring past the cap of 256 it must
+    # be refused before its irreducibility is checked
+    ring = {"min_poly": {"coeffs": ["2"] + ["0"] * 256 + ["1"]}}
+    poly = {"coeffs": ["3", "1"]}
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        for command, payload in (
+            ("validate", {"ring": ring, "char_poly": poly}),
+            ("oracle", {"field": ring, "poly": poly, "n_list": [1]}),
+        ):
+            start = time.perf_counter()
+            report, code = run_task(command, payload)
+            assert time.perf_counter() - start < 1.0, command
+            assert code == EXIT_BUDGET, command
+            assert report["error"] == "degree 257 (257 * 1) is past the cap 256"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_exponent_rationals_are_parse_errors():
+    # "1e100000000" is 11 bytes that Fraction would expand to a
+    # 330-million-bit integer before any budget applies
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        report, code = run_task("degree-bound", {"x0": "1e100000000"})
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_PARSE
+        assert report["error"] == "bad rational '1e100000000'"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_prolong_round_trip():

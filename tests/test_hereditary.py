@@ -400,6 +400,46 @@ def test_obstructed_certificate_witnesses_split():
     assert len(cert.witnessed_split) == 2
 
 
+@pytest.mark.parametrize(
+    "r, verdict, bound, tested, minus_four, obstruction",
+    [
+        (-64, "obstructed", 6, (2, 3), False, Obstruction.pth_power(3)),
+        (4096, "obstructed", 12, (2,), False, Obstruction.pth_power(2)),
+        (-4, "obstructed", 2, (2,), True, Obstruction.minus_four()),
+        (12, "hereditarily_irreducible", 1, (), True, None),
+        (Fraction(-1, 8), "obstructed", 3, (3,), False, Obstruction.pth_power(3)),
+        (-324, "obstructed", 2, (2,), True, Obstruction.minus_four()),
+    ],
+)
+def test_rational_root_certificates(r, verdict, bound, tested, minus_four, obstruction):
+    # a rational root r scans the primes dividing the perfect-power
+    # exponent of |r|: 64 = 2**6, 4096 = 2**12, -324 = -4 * 3**4
+    cert = capelli_certificate(QQ, qpoly(-r, 1))
+    assert (
+        cert.verdict,
+        cert.prime_bound,
+        cert.primes_tested,
+        cert.minus_four_tested,
+        cert.obstruction,
+    ) == (verdict, bound, tested, minus_four, obstruction)
+
+
+@pytest.mark.parametrize(
+    "r, n, N",
+    [(4096, 10, 2), (-4, 4, 4), (-4, 2, 1), (-64, 6, 3), (Fraction(-1, 8), 9, 3)],
+)
+def test_rational_root_worklist_aimed_at_n(r, n, N):
+    P = qpoly(-r, 1)
+    hf = hereditary._worklist(QQ, P, n)
+    assert hf.N == N
+    # every factor stays irreducible as F(x**(n/N))
+    assert oracle_factor_counts(QQ, P, [n]) == [len(hf.factors)]
+    if (r, n) == (-4, 2):
+        # -4 is no square and 4 does not divide 2: x**2 + 4 is irreducible
+        (cert,) = hf.certificates
+        assert (cert.prime_bound, cert.primes_tested) == (2, (2,))
+
+
 def test_cyclotomics_detected():
     for n in range(1, 31):
         phi = cyclotomic(n)

@@ -90,3 +90,61 @@ def test_modules_import_no_unused_names():
     }
     assert unused == {}
 
+
+
+# Floating point may only size prime bounds (README: never in a verdict):
+# the module constants of these modules and these functions.
+_FLOAT_SCOPES = {
+    "hereditary.py": {"_height_floor", "_voutier_floor", "_power_test"},
+    "numfield.py": {"mahler_measure_upper"},
+}
+_FLOAT_MATH = {"log", "log2", "log10", "exp", "sqrt", "ceil", "inf", "nan", "pi", "e"}
+
+
+def _float_lines(source: str, functions: set[str] | None) -> list[int]:
+    """Lines with a float literal, a float(...) call or a float function
+    or constant of math, outside the named top-level functions and, when
+    functions is not None, the module-level assignments."""
+    scanned = [
+        node
+        for node in ast.parse(source).body
+        if functions is None
+        or not (
+            isinstance(node, ast.FunctionDef) and node.name in functions
+            or isinstance(node, (ast.Assign, ast.AnnAssign))
+        )
+    ]
+    lines = set()
+    for node in (n for top in scanned for n in ast.walk(top)):
+        if (
+            isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+            or isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in _FLOAT_MATH
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and any(a.name in _FLOAT_MATH for a in node.names)
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_floating_point_only_sizes_prime_bounds():
+    sample = (
+        "from math import log\nA = 0.5\n"
+        "def f(x):\n    return math.ceil(x) + float(x)\n"
+        "def g() -> float:\n    return 1e-9 * math.gcd(2, 4)\n"
+    )
+    assert _float_lines(sample, None) == [1, 2, 4, 6]
+    assert _float_lines(sample, {"f"}) == [1, 6]
+    package = pathlib.Path(qrank.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _float_lines(path.read_text(), _FLOAT_SCOPES.get(path.name)))
+    }
+    assert found == {}
