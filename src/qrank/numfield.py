@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product
 from typing import Callable
 
 from . import _intfactor as zz, config
@@ -241,6 +241,10 @@ class NFElement:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals its rational coordinate, so it hashes
+        # as that coordinate
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash(self.coords)
 
     def __bool__(self):
@@ -752,21 +756,155 @@ def _mod(c: Fraction, ell: int) -> int:
     return c.numerator * pow(c.denominator, -1, ell) % ell
 
 
-def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
-    """The roots of x**n - b in L, for a nonzero b.
+# Work bounds of the l-adic lift: combinations of values at the roots of
+# m_L mod l tried per call, and how many bits below sqrt(l**e / 2) a
+# reconstructed numerator and denominator must stay, so that a wrong
+# combination almost never reaches the exact check.  The precision l**e
+# stops once the bound passes h_b/n + 4*d*(h_m + d) + 32 bits, for
+# d = [L:Q], h_b and h_m the largest bit lengths of a numerator or
+# denominator in b and in m_L: a root's conjugates are the n-th roots of
+# b's, so its height is about h_b/n, and the rest covers the index and
+# discriminant of m_L.  A root past the cap only sends the call to
+# factoring.
+_LIFT_COMBINATIONS = 16
+_LIFT_MARGIN_BITS = 16
 
-    A power-residue sieve (_residue_sieve_rejects) first tests, for some
-    l = 1 (mod n) prime to disc(m_L) and to the denominators, every
-    degree-one prime of L above l at once, by one exponentiation modulo
-    gcd(m_L mod l, x**l - x); at a prime where b is not an n-th power
-    residue, a root beta would be l-integral and map to an n-th root of
-    b(r) in GF(l), so there is none (Lang, Algebra, VI section 8).
-    Otherwise x**n - b is factored over L and the roots are read off its
-    linear factors, so the answer does not depend on the sieve.  x**n - b
-    is built by substitute_power, which holds n to the degree cap.
+
+def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | None:
+    """The roots of x**n - b in L (n prime or 4, b nonzero) by l-adic
+    lifting, each proved by beta**n == b; [] when a residue proves there is
+    none; None when this route settles nothing.
+
+    The prime l comes from L._certificate_primes: m = L.min_poly has
+    d = [L:Q] distinct roots r mod l, l divides neither n nor a denominator
+    of b, b(r) != 0 (mod l) at every root, and l != 1 (mod n) for odd n.
+    As in _residue_sieve_rejects, Z_(l)[u] is then the integral closure of
+    Z_(l) in L, so a root beta = h(u) with h in Z_(l)[x] has h(r)**n = b(r)
+    at every r: if some b(r) has no n-th root in GF(l), found by trying
+    residues, there is no beta.  Otherwise the roots of m and the values
+    s = h(r) are lifted together by Newton's iteration modulo l**e, e
+    doubling up to the cap set out above _LIFT_COMBINATIONS, which needs
+    only that m'(r) and n*s**(n-1) are units mod l; h is their Lagrange
+    interpolation, and each coordinate is read back by rational
+    reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 5.10 and chapter 9).  For even n, -beta is a root with beta, so the
+    value at the first root is tried up to sign.
+
+    The answer is the whole root set.  For odd prime n, a primitive n-th
+    root of unity in L would be l-integral with h(r) - 1 an l-unit, an
+    element of order n in GF(l)*, against l != 1 (mod n); so the root is
+    unique.  For n = 2 the roots are +-beta.  For n = 4 one root is
+    returned: in_minus4_fourth_powers, the only caller, asks only whether
+    one exists.
+    """
+    d = L.degree
+    den = math.lcm(*(c.denominator for c in b.coords))
+    for ell, roots in L._certificate_primes():
+        if len(roots) < d or n % ell == 0 or den % ell == 0:
+            continue
+        if n % 2 and ell % n == 1:
+            continue
+        b_ell = [_mod(c, ell) for c in b.coords]
+        values = [_horner(b_ell, r, ell) for r in roots]
+        if not all(values):
+            continue
+        cands = [[s for s in range(1, ell) if pow(s, n, ell) == v] for v in values]
+        if not all(cands):
+            return []
+        if n % 2 == 0:
+            cands[0] = [s for s in cands[0] if 2 * s < ell]
+        if math.prod(map(len, cands)) <= _LIFT_COMBINATIONS:
+            break
+    else:
+        return None
+    m = L.min_poly.coeffs
+    h_b, h_m = (
+        max(x.bit_length() for c in cs for x in (c.numerator, c.denominator))
+        for cs in (b.coords, m)
+    )
+    need = h_b // n + 4 * d * (h_m + d) + 32 + _LIFT_MARGIN_BITS
+    # the least e with l**e >= 2**(2*need + 1), by l >= 2**(bit_length - 1)
+    e, top = 1, -(-(2 * need + 1) // (ell.bit_length() - 1))
+    while e < top:
+        e = min(2 * e, top)
+        mod = ell**e
+        m_mod = [_mod(c, mod) for c in m]
+        dm_mod = [i * c for i, c in enumerate(m_mod)][1:]
+        roots = [
+            (r - _horner(m_mod, r, mod) * pow(_horner(dm_mod, r, mod), -1, mod)) % mod
+            for r in roots
+        ]
+        b_mod = [_mod(c, mod) for c in b.coords]
+        cands = [
+            [(s - (pow(s, n, mod) - v) * pow(n * pow(s, n - 1, mod), -1, mod)) % mod
+             for s in ss]
+            for ss, v in zip(cands, (_horner(b_mod, r, mod) for r in roots))
+        ]
+        # Lagrange basis: basis[i](r_j) = [i == j] (mod l**e)
+        basis = []
+        for i, ri in enumerate(roots):
+            row, scale = [1], 1
+            for j, rj in enumerate(roots):
+                if j != i:
+                    row = [(a - rj * c) % mod for a, c in zip([0, *row], [*row, 0])]
+                    scale = scale * (ri - rj) % mod
+            inv = pow(scale, -1, mod)
+            basis.append([c * inv % mod for c in row])
+        bound = math.isqrt(mod >> 1) >> _LIFT_MARGIN_BITS
+        for combo in product(*cands):
+            coords = []
+            for k in range(d):
+                q = _rational_reconstruction(
+                    sum(s * row[k] for s, row in zip(combo, basis)) % mod, mod, bound
+                )
+                if q is None:
+                    break
+                coords.append(q)
+            else:
+                beta = NFElement(L, tuple(coords))
+                if beta**n == b:
+                    return [beta, -beta] if n == 2 else [beta]
+    return None
+
+
+def _rational_reconstruction(a: int, mod: int, bound: int) -> Fraction | None:
+    """The fraction x/y = a (mod mod) with |x|, y <= bound, if one exists,
+    for 2*bound**2 < mod: the first remainder of the extended Euclidean
+    algorithm on (mod, a) that falls to the bound, over its cofactor
+    (von zur Gathen and Gerhard, section 5.10)."""
+    r0, r1, t0, t1 = mod, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not t1 or abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
+    """The roots of x**n - b in L, for a nonzero b; for n = 4 possibly
+    only one of them, as in_minus4_fourth_powers asks only whether a root
+    exists.
+
+    Three steps, each exact.  A power-residue sieve (_residue_sieve_rejects)
+    first tests, for some l = 1 (mod n) prime to disc(m_L) and to the
+    denominators, every degree-one prime of L above l at once, by one
+    exponentiation modulo gcd(m_L mod l, x**l - x); at a prime where b is
+    not an n-th power residue, a root beta would be l-integral and map to
+    an n-th root of b(r) in GF(l), so there is none (Lang, Algebra, VI
+    section 8).  Then _lifted_roots lifts candidate roots l-adically and
+    keeps only those with beta**n == b, and says when they are all the
+    roots.  Otherwise x**n - b is factored over L and the roots are read
+    off its linear factors.  Neither route decides anything the other
+    would decide differently, so the answer does not depend on which one
+    ran.  The degree cap holds n before either route.
     """
     if _residue_sieve_rejects(L, b, n):
         return []
+    config.check_degree(1, n)
+    roots = _lifted_roots(L, b, n)
+    if roots is not None:
+        return roots
     _, factors = factor_over_K(L, substitute_power(Poly([-b, L.one]), n))
     return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
 
@@ -775,7 +913,8 @@ def pth_root_in_field(
     L: NumberField, a: NFElement, p: int
 ) -> NFElement | None:
     """A beta in L with beta**p = a, if one exists (p prime): the least
-    root (by sort key) that _nth_roots finds."""
+    root (by sort key) of x**p - a, from _nth_roots, which returns them
+    all for prime p."""
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
     return min(_nth_roots(L, a, p), key=lambda r: r.sort_key(), default=None)
@@ -783,7 +922,8 @@ def pth_root_in_field(
 
 def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
     """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L:
-    whether x**4 + a/4 = x**4 - (-a/4) has a root, by _nth_roots."""
+    whether x**4 + a/4 = x**4 - (-a/4) has a root, by _nth_roots, which
+    for n = 4 may stop at the first root it proves."""
     if a.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
     return bool(_nth_roots(L, a * Fraction(-1, 4), 4))
@@ -797,11 +937,44 @@ def minimal_polynomial(a: NFElement) -> Poly:
     """Monic minimal polynomial of a over Q.
 
     The characteristic polynomial chi = N(x - a) from norm_poly is
-    mp**k with k = [K:Q(a)], so mp is its one squarefree part.
+    mp**k with k = [K:Q(a)].  When _certified_squarefree proves chi
+    squarefree, k = 1.  Otherwise the exact k-th root of chi is tried for
+    each divisor k > 1 of deg chi, largest first, and built up to r**k
+    only when r(0)**k == chi(0).  As mp is irreducible, r**k == chi = mp**j
+    forces r = mp**(j/k), so the first k that passes is j itself and
+    r = mp; if none passes, j = 1 and chi = mp.
     """
     K = a.field
-    [(mp, _)] = squarefree_decomposition(norm_poly(K, Poly([-a, K.one])))
-    return mp
+    chi = norm_poly(K, Poly([-a, K.one]))
+    if _certified_squarefree(chi):
+        return chi
+    for k in range(chi.degree, 1, -1):
+        if chi.degree % k == 0:
+            r = _monic_root(chi, k)
+            if r.coeffs[0] ** k != chi.coeffs[0]:
+                continue
+            power = r
+            for _ in range(k - 1):
+                power = power * r
+            if power == chi:
+                return r
+    return chi
+
+
+def _monic_root(f: Poly, k: int) -> Poly:
+    """The only monic candidate r for a k-th root of the monic f, k
+    dividing deg f; r is one exactly when r**k == f.  The reversed
+    polynomial g = x**deg f * f(1/x) has g(0) = 1, and its power series
+    h = g**(1/k) has h(0) = 1 and, from h' g = (1/k) g' h,
+    j h_j = sum_{i=1..j} ((1/k + 1) i - j) g_i h_(j-i) (Knuth, TAOCP 2,
+    section 4.7); r is h truncated at degree deg f / k, reversed."""
+    g = f.coeffs[::-1]
+    e = f.degree // k
+    alpha = Fraction(1, k) + 1
+    h = [Fraction(1)]
+    for j in range(1, e + 1):
+        h.append(sum((alpha * i - j) * g[i] * h[j - i] for i in range(1, j + 1)) / j)
+    return Poly(h[::-1])
 
 
 _LOG2 = math.log(2)

@@ -1,5 +1,7 @@
+import collections
 import math
 import random
+import re
 import signal
 import sys
 import time
@@ -25,6 +27,7 @@ from helpers import (
     sqrtm3_field,
 )
 from qrank.errors import (
+    BudgetExceeded,
     DivisionByZero,
     NotIrreducible,
     NotMonic,
@@ -882,6 +885,125 @@ def test_pth_root_of_a_unit_needs_no_factoring(monkeypatch):
         assert pth_root_in_field(L, L.gen, p) is None
         assert calls == [], p
     assert not in_minus4_fourth_powers(L, L.gen)
+    assert calls == []
+
+
+def test_lifted_roots_match_factoring_reference(monkeypatch):
+    # the lift against exact-only factoring: non-integral roots, units,
+    # p = 2, 3, 5, 7 and -4*gamma**4, over the sieve fields and over
+    # Q(3**(1/3)), where m mod l has three distinct roots for no l below
+    # 54, so that every call there falls back to factoring
+    rng = random.Random(35)
+    fields = _sieve_fields()
+    cube_root_3 = NumberField(qpoly(-3, 0, 0, 1))
+    assert all(len(roots) < 3 for _, roots in cube_root_3._certificate_primes())
+    routes = collections.Counter()
+    original = numfield._lifted_roots
+
+    def recording(L, b, n):
+        roots = original(L, b, n)
+        routes["fallback" if roots is None else "lifted" if roots else "absent"] += 1
+        return roots
+
+    monkeypatch.setattr(numfield, "_lifted_roots", recording)
+    for L, u in zip([*fields, cube_root_3], [*_sieve_units(fields), None]):
+        bases = [_nonintegral(rng, L)] + ([u] if u is not None else [])
+        for p in (2, 3, 5, 7):
+            for a in [beta**p for beta in bases] + [bases[-1] ** (p + 1)]:
+                assert pth_root_in_field(L, a, p) == pth_root_reference(L, a, p), (L, a, p)
+        a = _nonintegral(rng, L) ** 4 * -4
+        assert in_minus4_fourth_powers(L, a)
+        assert not in_minus4_fourth_powers(L, a * 3)
+    # 5i/3 passes the sieve for n = 2 but is no square: no candidate
+    # verifies below the precision cap and factoring says there is none
+    Qi = fields[0]
+    b = Qi.gen * Fraction(5, 3)
+    assert not numfield._residue_sieve_rejects(Qi, b, 2)
+    assert original(Qi, b, 2) is None
+    assert pth_root_in_field(Qi, b, 2) is None is pth_root_reference(Qi, b, 2)
+    # -4 = -16/4 passes the sieve for n = 4 over Q(sqrt -3), but it is no
+    # fourth power there, as a residue mod 7 proves without factoring
+    Qm3 = fields[2]
+    assert not numfield._residue_sieve_rejects(Qm3, Qm3.from_rational(-4), 4)
+    assert routes["lifted"] and routes["fallback"]
+    routes.clear()
+    assert not in_minus4_fourth_powers(Qm3, Qm3.from_rational(16))
+    assert routes == {"absent": 1}
+
+
+def test_lifted_roots_need_no_factoring(monkeypatch):
+    Q2, Qm3 = sqrt2_field(), sqrtm3_field()
+    calls = _callers(monkeypatch, numfield, "factor_over_K")
+    beta = 1 + Q2.gen * Fraction(2, 3)
+    assert pth_root_in_field(Q2, beta**3, 3) == beta
+    gamma = Qm3.element([Fraction(-3, 5), Fraction(7, 2)])
+    assert pth_root_in_field(Qm3, gamma**2, 2) == min(
+        gamma, -gamma, key=lambda r: r.sort_key()
+    )
+    assert calls == []
+
+
+def test_cube_roots_over_q_sqrt_m3_fall_back_to_factoring(monkeypatch):
+    # 1 = l mod 3 at every l where t**2 + 3 has two roots, so no l is
+    # usable for p = 3: factoring finds the three roots beta * omega**k
+    Qm3 = sqrtm3_field()
+    beta = Qm3.element([Fraction(2, 3), Fraction(-1, 2)])
+    omega = (Qm3.gen - 1) * Fraction(1, 2)
+    roots = [beta, beta * omega, beta * omega**2]
+    assert len(set(roots)) == 3 and all(r**3 == beta**3 for r in roots)
+    assert numfield._lifted_roots(Qm3, beta**3, 3) is None
+    calls = _callers(monkeypatch, numfield, "factor_over_K")
+    assert pth_root_in_field(Qm3, beta**3, 3) == min(roots, key=lambda r: r.sort_key())
+    assert calls == ["_nth_roots"]
+
+
+def test_pth_root_degree_cap_runs_before_either_route():
+    # (1+2i)**257 is a 257th power, which the lift would prove at once
+    Qi = gaussian_field()
+    message = "degree 257 (1 * 257) is past the cap 256"
+    with pytest.raises(BudgetExceeded, match=re.escape(message)):
+        pth_root_in_field(Qi, (1 + 2 * Qi.gen) ** 257, 257)
+
+
+def test_hash_agrees_with_equality():
+    Qi = gaussian_field()
+    for a, r in ((QQ.from_rational(3), 3), (Qi.from_rational(Fraction(-2, 5)), Fraction(-2, 5))):
+        assert a == r and hash(a) == hash(r)
+        assert len({a, r}) == 1
+        f, g = Poly([a]), Poly([Fraction(r)])
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+    assert len({Qi.gen, Qi.element([0, 1]), Qi.gen * 2}) == 2
+
+
+def test_minimal_polynomial_of_subfield_elements_takes_no_gcd(monkeypatch):
+    # Q(sqrt2, i) flattened: rationals and elements of Q(sqrt 2) have
+    # characteristic polynomial mp**4 and mp**2, whose exact roots give
+    # mp with no Euclidean gcd
+    K = flatten(sqrt2_field(), qpoly(1, 0, 1)).field
+    _, factors = factor_over_K(K, K.poly([-2, 0, 1]))
+    sqrt2 = -factors[0][0].coeffs[0]
+    calls = _callers(monkeypatch, numfield, "gcd")
+    for a in (K.from_rational(Fraction(3, 7)), K.from_rational(-2), sqrt2,
+              sqrt2 * Fraction(2, 3) + 5, K.gen):
+        chi = norm_poly(K, Poly([-a, K.one]))
+        [(mp, _)] = squarefree_decomposition_reference(chi)
+        assert minimal_polynomial(a) == mp
+    assert calls == []
+
+
+def test_minimal_polynomial_when_the_certificate_fails(monkeypatch):
+    # with no squarefree certificate, every divisor k > 1 of deg chi is
+    # tried and, for a generating element, none passes: chi is returned
+    K = flatten(sqrt2_field(), qpoly(1, 0, 1)).field
+    elements = [K.gen, K.gen * Fraction(-3, 2) + 1, K.from_rational(5), K.gen**2]
+    expected = [
+        squarefree_decomposition_reference(norm_poly(K, Poly([-a, K.one])))[0][0]
+        for a in elements
+    ]
+    monkeypatch.setattr(numfield, "_certified_squarefree", lambda f: False)
+    calls = _callers(monkeypatch, numfield, "gcd")
+    assert [minimal_polynomial(a) for a in elements] == expected
     assert calls == []
 
 

@@ -148,3 +148,46 @@ def test_floating_point_only_sizes_prime_bounds():
         if (lines := _float_lines(path.read_text(), _FLOAT_SCOPES.get(path.name)))
     }
     assert found == {}
+
+
+# A cache keyed by input outlives the request that filled it.  The one
+# allowed is the cyclotomic table, until root-of-unity detection stops
+# dividing by cyclotomic polynomials (ROADMAP item 3).
+_CACHES_ALLOWED = {("hereditary.py", "_cyclotomic_ints")}
+
+
+def _cached_functions(source: str) -> list[str]:
+    """Functions decorated with functools.lru_cache or functools.cache,
+    called or not, by attribute, by name or by an alias of an import."""
+    tree = ast.parse(source)
+    names = {"lru_cache", "cache"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(a.asname for a in node.names if a.name in names and a.asname)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in names:
+                    found.append(node.name)
+    return found
+
+
+def test_no_global_caches():
+    sample = (
+        "import functools\nfrom functools import cache as memo\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(n): pass\n"
+        "@memo\ndef b(n): pass\n"
+        "class C:\n    @functools.cache\n    def c(self): pass\n"
+        "@staticmethod\ndef d(n): pass\n"
+    )
+    assert _cached_functions(sample) == ["a", "b", "c"]
+    package = pathlib.Path(qrank.__file__).parent
+    found = {
+        (path.name, name)
+        for path in sorted(package.glob("*.py"))
+        for name in _cached_functions(path.read_text())
+    }
+    assert found == _CACHES_ALLOWED
