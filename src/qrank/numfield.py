@@ -2,6 +2,12 @@
 polynomials, factorization over Q (Zassenhaus) and over extensions
 (Trager's norm method), tower flattening, radical membership tests, and
 certified height upper bounds.
+
+An element is held as one vector of integer numerators over one positive
+denominator, in lowest terms, and the field keeps m and its reduction
+rows the same way, so products, sums, norms and the maps mod l run on
+Python ints; the Fraction coordinates (NFElement.coords) are a derived
+view, built only for output.
 """
 
 from __future__ import annotations
@@ -28,73 +34,77 @@ class NumberField:
     """Q[t]/(m(t)) for a monic irreducible m over Q; degree 1 is Q itself.
 
     Irreducibility is verified at construction unless the defining
-    polynomial is already known irreducible (internal callers).
+    polynomial is already known irreducible (internal callers).  Besides
+    min_poly, the field keeps m and its reduction rows (the coordinates
+    of t**(d+i) mod m, i = 0..d-2) as integer vectors over one positive
+    denominator each, which is what element arithmetic reads.
     """
 
-    __slots__ = ("min_poly", "degree", "_red_rows", "_gen", "_scan")
+    __slots__ = ("min_poly", "degree", "_int_poly", "_red_rows", "_scan")
 
     def __init__(self, min_poly: Poly, trusted: bool = False):
-        if min_poly.is_zero() or not min_poly.is_monic():
+        coeffs = [_exact(c) for c in min_poly.coeffs]
+        if not coeffs or coeffs[-1] != 1:
             raise NotIrreducible("defining polynomial must be monic")
-        d = min_poly.degree
+        d = len(coeffs) - 1
         if d < 1:
             raise NotIrreducible("defining polynomial must have degree >= 1")
-        coeffs = tuple(Fraction(c) for c in min_poly.coeffs)
-        min_poly = Poly(coeffs)
+        min_poly = Poly([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
         if not trusted and d > 1:
             config.check_degree(d, 1)
             if not is_irreducible(QQ, min_poly):
                 raise NotIrreducible("defining polynomial is reducible over Q")
         self.min_poly = min_poly
         self.degree = d
-        # t**(d+i) mod m for i = 0..d-2, as coordinate rows
+        den = math.lcm(*(c.denominator for c in coeffs))
+        m = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._int_poly = (m, den)
+        # t**(d+i) over den**(i+1); each row brought to den**(d-1)
         rows = []
-        cur = [Fraction(0)] * (d - 1) + [Fraction(1)]
-        for _ in range(d - 1):
-            cur = _times_gen(cur, coeffs)
-            rows.append(tuple(cur))
-        self._red_rows = tuple(rows)
-        gen_coords = [Fraction(0)] * d
-        if d == 1:
-            # Q[t]/(t - c): the generator is the rational c itself.
-            gen_coords[0] = -coeffs[0]
-        else:
-            gen_coords[1] = Fraction(1)
-        self._gen = NFElement(self, tuple(gen_coords))
+        cur = [0] * (d - 1) + [1]
+        for i in range(d - 1):
+            cur = _times_gen(cur, m, den)
+            rows.append([x * den ** (d - 2 - i) for x in cur])
+        self._red_rows = (rows, den ** max(d - 1, 0))
         self._scan: list[tuple[int, list[int]]] = []
 
     @property
     def gen(self) -> NFElement:
-        return self._gen
+        # built per call: a field holding its generator would be a
+        # reference cycle, left for the cyclic garbage collector
+        if self.degree == 1:
+            # Q[t]/(t - c): the generator is the rational c itself.
+            return -self.from_rational(self.min_poly.coeffs[0])
+        return NFElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def _certificate_primes(self):
         """(l, roots) for the first _CERT_PRIMES primes l (2 to 53): the
         roots r of m mod l, found by trying every residue, when
-        _squarefree_mod(m, l) accepts l, else an empty list.  Each entry is
+        _squarefree_mod(self, l) accepts l, else an empty list.  Each entry is
         computed once, when a caller first reads that far."""
         scan = self._scan
         primes = filter(is_prime, count(2))
         for i, ell in enumerate(islice(primes, _CERT_PRIMES)):
             if i == len(scan):
-                m_ell = _squarefree_mod(self.min_poly, ell)
+                m_ell = _squarefree_mod(self, ell)
                 tried = range(ell) if m_ell else ()
                 scan.append((ell, [r for r in tried if not _horner(m_ell, r, ell)]))
             yield scan[i]
 
     def element(self, coords) -> NFElement:
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree and all(c == 0 for c in cs[self.degree :]):
+        cs = [_exact(c) for c in coords]
+        if len(cs) > self.degree and not any(cs[self.degree :]):
             cs = cs[: self.degree]
         if len(cs) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coordinates, got {len(cs)}"
             )
-        return NFElement(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return NFElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, r) -> NFElement:
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(r)
-        return NFElement(self, tuple(coords))
+        r = _exact(r)
+        return NFElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     @property
     def zero(self) -> NFElement:
@@ -120,12 +130,40 @@ class NumberField:
         return f"NumberField({self.min_poly!r})"
 
 
-class NFElement:
-    __slots__ = ("field", "coords")
+def _exact(c):
+    """c itself for an int or a Fraction, the only exact scalars."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(c).__name__}")
+    return c
 
-    def __init__(self, field: NumberField, coords: tuple):
+
+def _reduced(field: NumberField, num, den: int) -> NFElement:
+    """The element num/den, for den > 0, in lowest terms: one gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return NFElement(field, tuple(x // g for x in num), den // g)
+    return NFElement(field, tuple(num), den)
+
+
+class NFElement:
+    """An element of a number field K = Q[t]/(m), held as integer
+    numerators num (its power-basis coordinates times den) over one
+    denominator den > 0, in lowest terms: gcd(den, *num) = 1, so zero is
+    0/1 and equal elements have equal (num, den) (Cohen, GTM 138, section
+    4.2).  Each operation normalizes by one gcd.  coords, the coordinates
+    as Fractions, is derived from num and den.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _lift(self, other):
         if isinstance(other, NFElement):
@@ -140,73 +178,90 @@ class NFElement:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return NFElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        da, db = self.den, o.den
+        if da == db:
+            num = [a + b for a, b in zip(self.num, o.num)]
+            if da == 1:
+                return NFElement(self.field, tuple(num), 1)
+        else:
+            num = [a * db + b * da for a, b in zip(self.num, o.num)]
+            da *= db
+        return _reduced(self.field, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coords))
+        return NFElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return NFElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, o.coords))
-        )
+        return self + -o
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElement(self.field, tuple(a * other for a in self.coords))
+            p = other.numerator
+            return _reduced(self.field, [a * p for a in self.num], self.den * other.denominator)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         d = self.field.degree
-        if d == 1:
-            return NFElement(self.field, (self.coords[0] * o.coords[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
+        a, b = self.num, o.num
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        den = self.den * o.den
         out = conv[:d]
-        rows = self.field._red_rows
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return NFElement(self.field, tuple(out))
+        if d > 1:
+            rows, rden = self.field._red_rows
+            if rden != 1:
+                out = [x * rden for x in out]
+                den *= rden
+            for c, row in zip(conv[d:], rows):
+                if c:
+                    out = [x + c * y for x, y in zip(out, row)]
+        return _reduced(self.field, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NFElement":
+        """1/self, from M x = e_0 for M the matrix of multiplication by
+        self on the power basis, solved by fraction-free Gauss-Jordan
+        elimination on integers (Bareiss 1968): after the step at column
+        k, the leading (k+1) x (k+1) block is delta * I for delta the
+        leading minor of that order, so the last pivot delta = +-det and
+        the right-hand side ends as delta * x."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        d = self.field.degree
-        if d == 1:
-            return NFElement(self.field, (1 / self.coords[0],))
-        # extended gcd of the coordinate polynomial with min_poly
-        a = self.coordinate_poly()
-        m = self.field.min_poly
-        r0, r1 = m, a
-        t0, t1 = Poly(()), Poly([Fraction(1)])
-        while not r1.is_zero():
-            q, r = divrem(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        # r0 = gcd = nonzero constant since m is irreducible and a != 0
-        c = r0.coeffs[0]
-        inv_poly = t0.scale(1 / c)
-        coords = list(inv_poly.coeffs) + [Fraction(0)] * d
-        return NFElement(self.field, tuple(coords[:d]))
+        d, n = self.field.degree, self.num[0]
+        if self.is_rational():
+            return NFElement(self.field, (self.den if n > 0 else -self.den,) + (0,) * (d - 1), abs(n))
+        m, e = self.field._int_poly
+        # column j: numerators of self * t**j over den * e**j
+        cols, v = [], list(self.num)
+        for _ in range(d):
+            cols.append(v)
+            v = _times_gen(v, m, e)
+        a = [[col[r] for col in cols] + [int(r == 0)] for r in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next(i for i in range(k, d) if a[i][k])
+            a[k], a[p] = a[p], a[k]
+            piv, row_k = a[k][k], a[k]
+            for i in range(d):
+                if i != k:
+                    c = a[i][k]
+                    a[i] = [(piv * x - c * y) // prev for x, y in zip(a[i], row_k)]
+            prev = piv
+        # x_j = den * e**j * a[j][d] / delta
+        sign = 1 if prev > 0 else -1
+        return _reduced(self.field, [sign * self.den * e**j * a[j][d] for j in range(d)], abs(prev))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -230,42 +285,48 @@ class NFElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.coords[0] == other and all(
-                c == 0 for c in self.coords[1:]
-            )
         if isinstance(other, NFElement):
             return (
-                self.field.same_as(other.field) and self.coords == other.coords
+                self.num == other.num
+                and self.den == other.den
+                and self.field.same_as(other.field)
+            )
+        if isinstance(other, (int, Fraction)):
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and not any(self.num[1:])
             )
         return NotImplemented
 
     def __hash__(self):
         # a rational element equals its rational coordinate, so it hashes
         # as that coordinate
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash(self.coords)
+        return hash(self.as_rational() if self.is_rational() else self.coords)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den) if self.den > 1 else Fraction(self.num[0])
 
     def coordinate_poly(self) -> Poly:
         return Poly(self.coords)
 
     def sort_key(self):
-        return tuple((c.numerator, c.denominator) for c in self.coords)
+        """Each coordinate as (numerator, denominator) in lowest terms."""
+        den = self.den
+        if den == 1:
+            return tuple((x, 1) for x in self.num)
+        return tuple((x // g, den // g) for x in self.num for g in (math.gcd(x, den),))
 
     def norm(self) -> Fraction:
         """Field norm down to Q: (-1)**d * chi(0), for chi = N(x - self)
@@ -278,7 +339,7 @@ class NFElement:
         return f"NFElement({list(self.coords)})"
 
 
-QQ = NumberField(Poly([Fraction(0), Fraction(1)]), trusted=True)
+QQ = NumberField(Poly([0, 1]), trusted=True)
 
 
 @dataclass(frozen=True)
@@ -364,14 +425,9 @@ def _certified_squarefree(f: Poly) -> bool:
     pairs, within the first _CERT_PRIMES primes, before giving up.
     """
     lc = f.leading
-    if isinstance(lc, NFElement):
-        K = lc.field
-        rows = [c.coords for c in f.coeffs]
-    else:
-        K = QQ
-        rows = [(c,) for c in f.coeffs]
+    K = lc.field if isinstance(lc, NFElement) else QQ
     pairs = 0
-    for ell, vals in _images(K._certificate_primes(), rows):
+    for ell, vals in _images(K._certificate_primes(), f.coeffs):
         if not vals[-1]:
             continue
         if zz.gf_is_squarefree(zz.gf_from_zz(vals, ell), ell):
@@ -383,26 +439,32 @@ def _certified_squarefree(f: Poly) -> bool:
 
 
 def _to_primitive_int(f: Poly) -> list[int]:
-    """Scale a rational polynomial to a primitive integer list, lc > 0."""
-    denlcm = 1
-    for c in f.coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in f.coeffs]
-    ints = zz.zz_primitive(ints)
+    """Scale a polynomial over Q, its coefficients rationals or elements
+    of a degree-1 field, to a primitive integer list, lc > 0."""
+    pairs = [_num_den(c) for c in f.coeffs]
+    den = math.lcm(*(d for _, d in pairs))
+    ints = zz.zz_primitive([v[0] * (den // d) for v, d in pairs])
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
 
 
-def _from_int_monic(f: list[int]) -> Poly:
-    lc = f[-1]
-    return Poly([Fraction(c, lc) for c in f])
+def _num_den(c) -> tuple[tuple, int]:
+    """(numerators, denominator) of a rational or of an element."""
+    if isinstance(c, NFElement):
+        return c.num, c.den
+    return (c.numerator,), c.denominator
 
 
 def _factor_squarefree_over_Q(g: Poly) -> list[Poly]:
-    """Monic irreducible factors over Q of a squarefree g (Zassenhaus)."""
-    ints = _to_primitive_int(g)
-    return [_from_int_monic(h) for h in zz.zz_factor_squarefree(ints)]
+    """Monic irreducible factors over Q of a squarefree g (Zassenhaus),
+    with coefficients of the same kind as g's: Fractions, or elements of
+    g's degree-1 field."""
+    K = g.leading.field if isinstance(g.leading, NFElement) else None
+    return [
+        Poly([_reduced(K, (c,), h[-1]) if K else Fraction(c, h[-1]) for c in h])
+        for h in zz.zz_factor_squarefree(_to_primitive_int(g))
+    ]
 
 
 def _factor(
@@ -433,8 +495,12 @@ def _factor(
 
 def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Factor over Q: content times monic irreducible factors with
-    multiplicities, canonically sorted."""
+    multiplicities, canonically sorted.  The coefficients of p are
+    rationals or elements of a degree-1 field, and the factors keep
+    their kind."""
     content, factors = _factor(p, _factor_squarefree_over_Q)
+    if isinstance(content, NFElement):
+        return content.as_rational(), factors
     return Fraction(content), factors
 
 
@@ -459,36 +525,36 @@ def norm_poly(K: NumberField, f: Poly) -> Poly:
     With M(a) the d x d matrix of multiplication by a on the power basis
     of K (column j holds the coordinates of a * theta**j) and
     f = sum_i f_i x**i, the norm is N(f)(x) = det(sum_i M(f_i) x**i)
-    (Cohen, GTM 138, section 4.3).  One common denominator D of all the
-    entries turns the matrix into one over Z[x], and N(f) is its
-    determinant divided by D**d.  The determinant comes from Bareiss's
+    (Cohen, GTM 138, section 4.3).  The entries stay integers: for D the
+    common denominator of the f_i and m = M/e with M in Z[t], column j
+    of the matrix is an integer vector over D * e**j, so N(f) is the
+    determinant of the numerators, a matrix over Z[x], divided by
+    D**d * e**(d(d-1)/2).  The determinant comes from Bareiss's
     fraction-free elimination (Bareiss 1968, "Sylvester's identity and
     multistep integer-preserving Gaussian elimination"): each step divides
     exactly by the previous pivot, and by Sylvester's identity the pivot
     of step k is the leading principal minor of order k + 1.  Since f is
-    monic of degree n, the matrix is D * (I x**n + terms of lower degree),
-    so that minor has leading term D**(k+1) x**((k+1)*n): no pivot is
+    monic of degree n, the numerators are (I x**n + terms of lower
+    degree) times the diagonal of the column denominators, so that minor
+    has leading term D**(k+1) e**(k(k+1)/2) x**((k+1)*n): no pivot is
     zero and no row exchange is needed.
     """
     if not f.is_monic():
         raise NotMonic(f"norm needs a monic polynomial, got {f!r}")
+    coeffs = K.poly(f.coeffs).coeffs
     if K.degree == 1:
-        return _rational_coeffs(f)
+        return Poly([c.as_rational() for c in coeffs])
     d = K.degree
-    m = K.min_poly.coeffs
-    # cols[j][i]: coordinates of f_i * theta**j
-    cols: list[list[list[Fraction]]] = [[] for _ in range(d)]
-    for c in K.poly(f.coeffs).coeffs:
-        v = c.coords
+    m, e = K._int_poly
+    den = math.lcm(*(c.den for c in coeffs))
+    # cols[j][i]: numerators of f_i * theta**j over den * e**j
+    cols: list[list[list[int]]] = [[] for _ in range(d)]
+    for c in coeffs:
+        v = [x * (den // c.den) for x in c.num]
         for col in cols:
             col.append(v)
-            v = _times_gen(v, m)
-    den = math.lcm(*(x.denominator for col in cols for v in col for x in v))
-    a = [
-        [zz.zz_strip([v[r].numerator * (den // v[r].denominator) for v in col])
-         for col in cols]
-        for r in range(d)
-    ]
+            v = _times_gen(v, m, e)
+    a = [[zz.zz_strip([v[r] for v in col]) for col in cols] for r in range(d)]
     prev = [1]
     for k in range(d - 1):
         piv = a[k][k]
@@ -499,28 +565,22 @@ def norm_poly(K: NumberField, f: Poly) -> Poly:
                 )
                 a[i][j] = zz.zz_divmod(entry, prev)[0] if k else entry
         prev = piv
-    scale = den**d
+    scale = den**d * e ** (d * (d - 1) // 2)
     return Poly([Fraction(c, scale) for c in a[d - 1][d - 1]])
 
 
-def _times_gen(v, m) -> list:
-    """The coordinates of theta * a, for v the coordinates of a in
-    Q[t]/(m), m monic: shift up one place, then replace theta**d by
-    -(m_0 + ... + m_(d-1) theta**(d-1))."""
+def _times_gen(v: list[int], m: list[int], e: int) -> list[int]:
+    """The numerators of theta * a over e times a's denominator, for v
+    the numerators of a in Q[t]/(M/e), M in Z[t] with leading coefficient
+    e: shift up one place, then replace e * theta**d by
+    -(M_0 + ... + M_(d-1) theta**(d-1))."""
     top = v[-1]
     v = [0, *v[:-1]]
+    if e != 1:
+        v = [e * x for x in v]
     if top:
         v = [x - top * y for x, y in zip(v, m)]
     return v
-
-
-def _rational_coeffs(f: Poly) -> Poly:
-    return Poly(
-        [
-            c.as_rational() if isinstance(c, NFElement) else Fraction(c)
-            for c in f.coeffs
-        ]
-    )
 
 
 def factor_over_K(
@@ -534,11 +594,8 @@ def factor_over_K(
     """
     p = K.poly(p.coeffs)
     if K.degree == 1:
-        content_q, factors_q = factor_over_Q(_rational_coeffs(p))
-        return (
-            K.from_rational(content_q),
-            [(K.poly(f.coeffs), m) for f, m in factors_q],
-        )
+        content, factors = factor_over_Q(p)
+        return K.from_rational(content), factors
     return _factor(p, lambda g: _factor_squarefree_over_K(K, g))
 
 
@@ -560,7 +617,7 @@ def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
     rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
     first = 1 if rational else 0
     for s in range(first, math.comb(g.degree * K.degree, 2) + 1):
-        gs = g if s == 0 else g.shift(K.gen * Fraction(-s))
+        gs = g if s == 0 else g.shift(K.gen * -s)
         norm = norm_poly(K, gs)
         if (
             _certified_squarefree(norm)
@@ -588,7 +645,7 @@ def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
             continue
         rest = divrem(rest, w)[0]
         if s:
-            w = w.shift(K.gen * Fraction(s))
+            w = w.shift(K.gen * s)
         out.append(w.monic())
     return out
 
@@ -629,7 +686,7 @@ def flatten(
         return FlattenedExtension(K, -Q.coeffs[0], 0)
     if K.degree == 1:
         # irreducibility established above or vouched for by the caller
-        L = NumberField(_rational_coeffs(Q), trusted=True)
+        L = NumberField(Poly([c.as_rational() for c in Q.coeffs]), trusted=True)
         return FlattenedExtension(L, L.gen, 0)
     s, _, norm = _trager_shift(K, Q)
     L = NumberField(norm, trusted=True)
@@ -649,7 +706,7 @@ def flatten(
     if g.degree != 1:
         raise RuntimeError("primitive element gcd was not linear")
     theta_L = -g.coeffs[0]
-    return FlattenedExtension(L, gamma - theta_L * Fraction(s), s)
+    return FlattenedExtension(L, gamma - theta_L * s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +720,14 @@ _SIEVE_PRIMES = 40
 _SIEVE_PAIRS = 8
 
 
-def _squarefree_mod(m: Poly, ell: int) -> list[int] | None:
-    """m mod l in GF(l)[x] when l divides no denominator of m and m mod l
-    is squarefree, so that l does not divide disc(m); else None."""
-    if any(c.denominator % ell == 0 for c in m.coeffs):
+def _squarefree_mod(K: NumberField, ell: int) -> list[int] | None:
+    """m = K.min_poly mod l in GF(l)[x] when l divides no denominator of m
+    and m mod l is squarefree, so that l does not divide disc(m); else
+    None."""
+    m, e = K._int_poly
+    if e % ell == 0:
         return None
-    m_ell = zz.gf_from_zz([_mod(c, ell) for c in m.coeffs], ell)
+    m_ell = zz.gf_from_zz(_reduce(m, e, ell), ell)
     return m_ell if zz.gf_is_squarefree(m_ell, ell) else None
 
 
@@ -678,7 +737,7 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
 
     The scan runs over the first _SIEVE_PRIMES primes l = 1 (mod n),
     skipping every l that divides a denominator of a and every l that
-    _squarefree_mod(m, l) refuses, with m = L.min_poly.  Then l does not
+    _squarefree_mod(L, l) refuses, with m = L.min_poly.  Then l does not
     divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
     discriminant prime to l and is the integral closure of Z_(l) in L.
     If beta**n = a, then beta is integral over Z_(l), because a is
@@ -706,17 +765,16 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     primes and _SIEVE_PAIRS pairs (l, r), the roots of one prime counted
     together.
     """
-    den = math.lcm(*(c.denominator for c in a.coords))
     pairs = 0
     for ell in islice(filter(is_prime, count(n + 1, n)), _SIEVE_PRIMES):
-        m_ell = _squarefree_mod(L.min_poly, ell) if den % ell else None
+        m_ell = _squarefree_mod(L, ell) if a.den % ell else None
         if m_ell is None:
             continue
         x_l = zz.gf_sub(zz.gf_pow_mod([0, 1], ell, m_ell, ell), [0, 1], ell)
         g = zz.gf_gcd(m_ell, x_l, ell)
         if len(g) == 1:
             continue
-        a_ell = zz.gf_from_zz([_mod(c, ell) for c in a.coords], ell)
+        a_ell = zz.gf_from_zz(_reduce(a.num, a.den, ell), ell)
         c = zz.gf_pow_mod(a_ell, (ell - 1) // n, g, ell)
         if zz.gf_rem(zz.gf_mul(c, zz.gf_sub(c, [1], ell), ell), g, ell):
             return True
@@ -726,20 +784,22 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     return False
 
 
-def _images(scan, rows):
-    """(l, [row(r) mod l for row in rows]) for each degree-one prime (l, r)
+def _images(scan, scalars):
+    """(l, [c(r) mod l for c in scalars]) for each degree-one prime (l, r)
     of scan, an iterable of (l, roots) pairs as K._certificate_primes
-    gives, whose l divides no denominator of the rows.
+    gives, whose l divides no denominator of the scalars, which are
+    rationals or elements of K.
 
-    A row holds power-basis coordinates.  For such an l, every row is an
-    element of Z_(l)[theta], and theta -> r is the ring map to GF(l)
-    through which _certified_squarefree argues.
+    For such an l, every scalar is an element of Z_(l)[theta], and
+    theta -> r is the ring map to GF(l) through which
+    _certified_squarefree argues.
     """
-    den = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [_num_den(c) for c in scalars]
+    den = math.lcm(*(d for _, d in rows))
     for ell, roots in scan:
         if not roots or den % ell == 0:
             continue
-        reduced = [[_mod(x, ell) for x in row] for row in rows]
+        reduced = [_reduce(v, d, ell) for v, d in rows]
         for r in roots:
             yield ell, [_horner(row, r, ell) for row in reduced]
 
@@ -752,8 +812,11 @@ def _horner(f: list[int], r: int, ell: int) -> int:
     return v
 
 
-def _mod(c: Fraction, ell: int) -> int:
-    return c.numerator * pow(c.denominator, -1, ell) % ell
+def _reduce(num, den: int, mod: int) -> list[int]:
+    """The residues mod mod of the numerators num over den, for den a
+    unit mod mod: one inverse for the whole vector."""
+    inv = pow(den, -1, mod)
+    return [x * inv % mod for x in num]
 
 
 # Work bounds of the l-adic lift: combinations of values at the roots of
@@ -798,13 +861,12 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
     one exists.
     """
     d = L.degree
-    den = math.lcm(*(c.denominator for c in b.coords))
     for ell, roots in L._certificate_primes():
-        if len(roots) < d or n % ell == 0 or den % ell == 0:
+        if len(roots) < d or n % ell == 0 or b.den % ell == 0:
             continue
         if n % 2 and ell % n == 1:
             continue
-        b_ell = [_mod(c, ell) for c in b.coords]
+        b_ell = _reduce(b.num, b.den, ell)
         values = [_horner(b_ell, r, ell) for r in roots]
         if not all(values):
             continue
@@ -817,24 +879,22 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
             break
     else:
         return None
-    m = L.min_poly.coeffs
-    h_b, h_m = (
-        max(x.bit_length() for c in cs for x in (c.numerator, c.denominator))
-        for cs in (b.coords, m)
-    )
+    h_b = max(x.bit_length() for pair in b.sort_key() for x in pair)
+    h_m = max(x.bit_length() for c in L.min_poly.coeffs for x in (c.numerator, c.denominator))
+    m, m_den = L._int_poly
     need = h_b // n + 4 * d * (h_m + d) + 32 + _LIFT_MARGIN_BITS
     # the least e with l**e >= 2**(2*need + 1), by l >= 2**(bit_length - 1)
     e, top = 1, -(-(2 * need + 1) // (ell.bit_length() - 1))
     while e < top:
         e = min(2 * e, top)
         mod = ell**e
-        m_mod = [_mod(c, mod) for c in m]
+        m_mod = _reduce(m, m_den, mod)
         dm_mod = [i * c for i, c in enumerate(m_mod)][1:]
         roots = [
             (r - _horner(m_mod, r, mod) * pow(_horner(dm_mod, r, mod), -1, mod)) % mod
             for r in roots
         ]
-        b_mod = [_mod(c, mod) for c in b.coords]
+        b_mod = _reduce(b.num, b.den, mod)
         cands = [
             [(s - (pow(s, n, mod) - v) * pow(n * pow(s, n - 1, mod), -1, mod)) % mod
              for s in ss]
@@ -861,24 +921,25 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
                     break
                 coords.append(q)
             else:
-                beta = NFElement(L, tuple(coords))
+                den = math.lcm(*(y for _, y in coords))
+                beta = _reduced(L, [x * (den // y) for x, y in coords], den)
                 if beta**n == b:
                     return [beta, -beta] if n == 2 else [beta]
     return None
 
 
-def _rational_reconstruction(a: int, mod: int, bound: int) -> Fraction | None:
-    """The fraction x/y = a (mod mod) with |x|, y <= bound, if one exists,
-    for 2*bound**2 < mod: the first remainder of the extended Euclidean
-    algorithm on (mod, a) that falls to the bound, over its cofactor
-    (von zur Gathen and Gerhard, section 5.10)."""
+def _rational_reconstruction(a: int, mod: int, bound: int) -> tuple[int, int] | None:
+    """The fraction x/y = a (mod mod) as (x, y) with |x|, 0 < y <= bound,
+    if one exists, for 2*bound**2 < mod: the first remainder of the
+    extended Euclidean algorithm on (mod, a) that falls to the bound, over
+    its cofactor (von zur Gathen and Gerhard, section 5.10)."""
     r0, r1, t0, t1 = mod, a, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if not t1 or abs(t1) > bound:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:

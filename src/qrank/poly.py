@@ -1,9 +1,11 @@
 """Dense univariate polynomials over an exact scalar field.
 
 Coefficients are anything with exact field arithmetic and comparison
-against plain ints: fractions.Fraction for polynomials over Q, number
-field elements for the extension case.  Index i holds the coefficient
-of x**i; the zero polynomial has an empty coefficient tuple.
+against plain ints: fractions.Fraction, or number field elements
+(numfield.NFElement, integer numerators over one denominator), which the
+engine also uses for polynomials over Q as elements of the degree-1
+field QQ.  Index i holds the coefficient of x**i; the zero polynomial has
+an empty coefficient tuple.
 """
 
 from __future__ import annotations

@@ -21,10 +21,13 @@ from .poly import Poly
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
-def rat_to_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+def rat_to_str(r: Fraction | int) -> str:
+    return _ratio_to_str(r.numerator, r.denominator)
+
+
+def _ratio_to_str(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as "p/q" or "p"."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def str_to_rat(s) -> Fraction:
@@ -41,9 +44,8 @@ def str_to_rat(s) -> Fraction:
 
 
 def scalar_to_json(c: NFElement):
-    if c.field.degree == 1:
-        return rat_to_str(c.coords[0])
-    return [rat_to_str(a) for a in c.coords]
+    coords = [_ratio_to_str(num, den) for num, den in c.sort_key()]
+    return coords[0] if c.field.degree == 1 else coords
 
 
 def json_to_scalar(obj, ring: NumberField) -> NFElement:
@@ -55,7 +57,7 @@ def json_to_scalar(obj, ring: NumberField) -> NFElement:
             raise ParseError(
                 f"{len(coords)} coordinates in a degree-{ring.degree} field"
             )
-        coords += [Fraction(0)] * (ring.degree - len(coords))
+        coords += [0] * (ring.degree - len(coords))
         return ring.element(coords)
     raise ParseError(f"bad scalar {obj!r}")
 
@@ -66,7 +68,7 @@ def poly_to_json(p: Poly) -> dict:
         if isinstance(c, NFElement):
             out.append(scalar_to_json(c))
         else:
-            out.append(rat_to_str(Fraction(c)))
+            out.append(rat_to_str(c))
     return {"coeffs": out}
 
 

@@ -86,6 +86,109 @@ def resultant(f: Poly, g: Poly):
     return -acc if sign_flip else acc
 
 
+class FractionElement:
+    """The reference element: power-basis coordinates as a tuple of
+    Fractions, each operation coordinate by coordinate, as NFElement was
+    held before it moved to integer numerators over one denominator.  The
+    field supplies only its defining polynomial."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: NumberField, coords):
+        self.field = field
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    @classmethod
+    def of(cls, a: NFElement) -> "FractionElement":
+        return cls(a.field, a.coords)
+
+    def _rows(self):
+        """t**(d+i) mod m for i = 0..d-2, as Fraction coordinate rows."""
+        m, d = self.field.min_poly.coeffs, self.field.degree
+        rows, cur = [], [Fraction(0)] * (d - 1) + [Fraction(1)]
+        for _ in range(d - 1):
+            top, cur = cur[-1], [Fraction(0), *cur[:-1]]
+            cur = [x - top * y for x, y in zip(cur, m)]
+            rows.append(cur)
+        return rows
+
+    def _lift(self, other):
+        if isinstance(other, FractionElement):
+            return other
+        return FractionElement(self.field, [other] + [0] * (self.field.degree - 1))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return FractionElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
+
+    def __neg__(self):
+        return FractionElement(self.field, [-a for a in self.coords])
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        d = self.field.degree
+        conv = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(o.coords):
+                conv[i + j] += a * b
+        out = conv[:d]
+        for c, row in zip(conv[d:], self._rows()):
+            out = [x + c * y for x, y in zip(out, row)]
+        return FractionElement(self.field, out)
+
+    def inverse(self) -> "FractionElement":
+        """By the extended Euclidean algorithm on the coordinate
+        polynomial and the defining polynomial."""
+        d = self.field.degree
+        r0, r1 = self.field.min_poly, Poly(self.coords)
+        t0, t1 = Poly(()), Poly([Fraction(1)])
+        while not r1.is_zero():
+            q, r = divrem(r0, r1)
+            r0, r1 = r1, r
+            t0, t1 = t1, t0 - q * t1
+        coords = list(t0.scale(1 / r0.coeffs[0]).coeffs) + [Fraction(0)] * d
+        return FractionElement(self.field, coords[:d])
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = self._lift(1)
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coords[0] == other and not any(self.coords[1:])
+        return self.coords == other.coords
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.coords[0])
+        return hash(self.coords)
+
+    def is_rational(self) -> bool:
+        return not any(self.coords[1:])
+
+    def as_rational(self) -> Fraction:
+        assert self.is_rational()
+        return self.coords[0]
+
+    def sort_key(self):
+        return tuple((c.numerator, c.denominator) for c in self.coords)
+
+    def norm(self) -> Fraction:
+        if not any(self.coords):
+            return Fraction(0)
+        return Fraction(resultant(self.field.min_poly, Poly(self.coords)))
+
+
 def element_norm_reference(a: NFElement) -> Fraction:
     """Field norm of a down to Q as the resultant of the monic defining
     polynomial with the coordinate polynomial of a, with no determinant."""

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    FractionElement,
     cyclotomic,
     element_norm_reference,
     evaluate,
@@ -78,7 +79,7 @@ def test_inverse_of_zero():
 
 def test_field_axioms_random():
     rng = random.Random(5)
-    K = NumberField(qpoly(2, 0, 1, 1))  # t^3 + t + 2 (irreducible: no rational root)
+    K = NumberField(qpoly(2, 0, 1, 1))  # t^3 + t^2 + 2 (irreducible: no rational root)
     for _ in range(40):
         a = K.element([Fraction(rng.randint(-5, 5)) for _ in range(3)])
         b = K.element([Fraction(rng.randint(-5, 5)) for _ in range(3)])
@@ -87,6 +88,104 @@ def test_field_axioms_random():
         assert a * b == b * a
         if not a.is_zero():
             assert a * a.inverse() == 1
+
+
+def test_element_constructors_take_only_exact_scalars():
+    K = sqrt2_field()
+    # a float would reach Fraction exactly: 0.1 as 3602879701896397/2**55
+    for bad in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            QQ.poly([bad, 1])
+        with pytest.raises(TypeError):
+            K.element([bad, 0])
+        with pytest.raises(TypeError):
+            K.from_rational(bad)
+        with pytest.raises(TypeError):
+            NumberField(Poly([bad, 1]))
+
+
+def _differential_fields():
+    return _sieve_fields() + [
+        NumberField(qpoly(2, 0, 1, 1)),  # t^3 + t^2 + 2, as in test_field_axioms_random
+        NumberField(qpoly(Fraction(-1, 2), 0, 1)),  # t^2 - 1/2
+    ]
+
+
+def _assert_normalized(a):
+    assert a.den > 0 and math.gcd(a.den, *a.num) == 1, (a.num, a.den)
+    assert any(a.num) or (a.num, a.den) == ((0,) * a.field.degree, 1)
+
+
+def test_element_arithmetic_matches_fraction_reference():
+    rng = random.Random(22)
+
+    def random_element(K):
+        kind = rng.random()
+        if kind < 0.1:
+            return K.zero
+        if kind < 0.3:
+            return K.from_rational(_random_rational(rng))
+        return K.element([_random_rational(rng) for _ in range(K.degree)])
+
+    def check(x, ref):
+        _assert_normalized(x)
+        assert x.coords == ref.coords
+        assert x.sort_key() == ref.sort_key()
+        assert hash(x) == hash(ref)
+        assert x.is_rational() == ref.is_rational()
+        if x.is_rational():
+            assert x.as_rational() == ref.as_rational()
+            assert x == ref.as_rational() and hash(x) == hash(ref.as_rational())
+
+    fields = _differential_fields()
+    assert any(c.denominator > 1 for c in fields[3].min_poly.coeffs)
+    for K in fields:
+        for _ in range(12):
+            a, b = random_element(K), random_element(K)
+            A, B = FractionElement.of(a), FractionElement.of(b)
+            r = _random_rational(rng)
+            check(a, A)
+            for x, ref in ((a + b, A + B), (a - b, A - B), (a * b, A * B),
+                           (-a, -A), (a + r, A + r), (r - a, -(A - r)),
+                           (a * r, A * r), (r * a, A * r), (a * 3, A * 3)):
+                check(x, ref)
+            if b:
+                check(a / b, A / B)
+                check(b.inverse(), B.inverse())
+            if r:
+                check(a / r, A / r)
+            for e in range(-3 if a else 0, 5):
+                check(a**e, A**e)
+            assert (a == b) == (A == B) and (a == a * 1)
+            assert a.norm() == A.norm()
+
+
+def test_element_sums_and_products_build_no_fraction(monkeypatch):
+    fields = [sqrt2_field(), NumberField(qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1))]
+    elements = [
+        [K.gen, K.element([Fraction(-3, 7), 2] + [Fraction(1, 5)] * (K.degree - 2)),
+         K.from_rational(Fraction(5, 6)), K.zero]
+        for K in fields
+    ]
+    scalars = [3, Fraction(-2, 9)]
+    f = [K.poly([Fraction(1, 2), K.gen * Fraction(2, 3), 1]) for K in fields]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for row in elements:
+        for a in row:
+            for b in row + scalars:
+                a + b, a - b, a * b, b + a, b * a, -a
+    assert built == []
+    for K, g in zip(fields, f):
+        chi = norm_poly(K, g)
+        assert len(built) == len(chi.coeffs) == 2 * K.degree + 1
+        built.clear()
 
 
 def test_norm_examples():
