@@ -22,11 +22,11 @@ every denominator, then alpha is not a p-th power (Lang, Algebra, VI
 section 8; Neukirch, Algebraic Number Theory, VII section 13).  This
 settles units, whose norm passes every odd p, without factoring
 x**p - alpha.  A prime the sieve cannot settle (a true power, mostly)
-goes to an l-adic lift of candidate roots, each accepted only when
-beta**p == alpha holds exactly in K(alpha), and to the exact
-factorization of x**p - alpha only when the lift settles nothing.  Each
-step is exact, so verdicts, prime bounds and tested primes do not depend
-on which one decided.
+goes to an l-adic lift of candidate roots.  Only whether a root exists
+decides anything, so the lift stops at the first beta with
+beta**p == alpha exactly in K(alpha), and x**p - alpha is factored only
+when the lift settles nothing.  Each step is exact, so verdicts, prime
+bounds and tested primes do not depend on which one decided.
 """
 
 from __future__ import annotations

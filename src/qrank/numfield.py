@@ -834,16 +834,16 @@ _LIFT_MARGIN_BITS = 16
 
 
 def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | None:
-    """The roots of x**n - b in L (n prime or 4, b nonzero) by l-adic
-    lifting, each proved by beta**n == b; [] when a residue proves there is
-    none; None when this route settles nothing.
+    """A root of x**n - b in L (n prime or 4, b nonzero) by l-adic
+    lifting, as [beta] with beta**n == b proved; [] when a residue proves
+    there is none; None when this route settles nothing.
 
     The prime l comes from L._certificate_primes: m = L.min_poly has
     d = [L:Q] distinct roots r mod l, l divides neither n nor a denominator
-    of b, b(r) != 0 (mod l) at every root, and l != 1 (mod n) for odd n.
-    As in _residue_sieve_rejects, Z_(l)[u] is then the integral closure of
-    Z_(l) in L, so a root beta = h(u) with h in Z_(l)[x] has h(r)**n = b(r)
-    at every r: if some b(r) has no n-th root in GF(l), found by trying
+    of b, and b(r) != 0 (mod l) at every root.  As in
+    _residue_sieve_rejects, Z_(l)[u] is then the integral closure of Z_(l)
+    in L, so a root beta = h(u) with h in Z_(l)[x] has h(r)**n = b(r) at
+    every r: if some b(r) has no n-th root in GF(l), found by trying
     residues, there is no beta.  Otherwise the roots of m and the values
     s = h(r) are lifted together by Newton's iteration modulo l**e, e
     doubling up to the cap set out above _LIFT_COMBINATIONS, which needs
@@ -852,19 +852,10 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
     reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra,
     section 5.10 and chapter 9).  For even n, -beta is a root with beta, so the
     value at the first root is tried up to sign.
-
-    The answer is the whole root set.  For odd prime n, a primitive n-th
-    root of unity in L would be l-integral with h(r) - 1 an l-unit, an
-    element of order n in GF(l)*, against l != 1 (mod n); so the root is
-    unique.  For n = 2 the roots are +-beta.  For n = 4 one root is
-    returned: in_minus4_fourth_powers, the only caller, asks only whether
-    one exists.
     """
     d = L.degree
     for ell, roots in L._certificate_primes():
         if len(roots) < d or n % ell == 0 or b.den % ell == 0:
-            continue
-        if n % 2 and ell % n == 1:
             continue
         b_ell = _reduce(b.num, b.den, ell)
         values = [_horner(b_ell, r, ell) for r in roots]
@@ -924,7 +915,7 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
                 den = math.lcm(*(y for _, y in coords))
                 beta = _reduced(L, [x * (den // y) for x, y in coords], den)
                 if beta**n == b:
-                    return [beta, -beta] if n == 2 else [beta]
+                    return [beta]
     return None
 
 
@@ -942,10 +933,8 @@ def _rational_reconstruction(a: int, mod: int, bound: int) -> tuple[int, int] | 
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
-    """The roots of x**n - b in L, for a nonzero b; for n = 4 possibly
-    only one of them, as in_minus4_fourth_powers asks only whether a root
-    exists.
+def _nth_root(L: NumberField, b: NFElement, n: int) -> NFElement | None:
+    """A root of x**n - b in L, or None when there is none, for a nonzero b.
 
     Three steps, each exact.  A power-residue sieve (_residue_sieve_rejects)
     first tests, for some l = 1 (mod n) prime to disc(m_L) and to the
@@ -954,40 +943,36 @@ def _nth_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement]:
     not an n-th power residue, a root beta would be l-integral and map to
     an n-th root of b(r) in GF(l), so there is none (Lang, Algebra, VI
     section 8).  Then _lifted_roots lifts candidate roots l-adically and
-    keeps only those with beta**n == b, and says when they are all the
-    roots.  Otherwise x**n - b is factored over L and the roots are read
-    off its linear factors.  Neither route decides anything the other
-    would decide differently, so the answer does not depend on which one
-    ran.  The degree cap holds n before either route.
+    returns one with beta**n == b, or proves there is none.  Otherwise
+    x**n - b is factored over L and a root is read off its first linear
+    factor.  Neither route decides anything the other would decide
+    differently, so the answer does not depend on which one ran.  The
+    degree cap holds n before either route.
     """
+    if b.is_zero():
+        raise ZeroElement("radical test needs a nonzero element")
     if _residue_sieve_rejects(L, b, n):
-        return []
+        return None
     config.check_degree(1, n)
     roots = _lifted_roots(L, b, n)
     if roots is not None:
-        return roots
+        return roots[0] if roots else None
     _, factors = factor_over_K(L, substitute_power(Poly([-b, L.one]), n))
-    return [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
+    return next((-(w.coeffs[0]) for w, _ in factors if w.degree == 1), None)
 
 
 def pth_root_in_field(
     L: NumberField, a: NFElement, p: int
 ) -> NFElement | None:
-    """A beta in L with beta**p = a, if one exists (p prime): the least
-    root (by sort key) of x**p - a, from _nth_roots, which returns them
-    all for prime p."""
-    if a.is_zero():
-        raise ZeroElement("radical test needs a nonzero element")
-    return min(_nth_roots(L, a, p), key=lambda r: r.sort_key(), default=None)
+    """A beta in L with beta**p = a, if one exists (p prime), verified by
+    beta**p == a or read off a linear factor of x**p - a."""
+    return _nth_root(L, a, p)
 
 
 def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
     """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L:
-    whether x**4 + a/4 = x**4 - (-a/4) has a root, by _nth_roots, which
-    for n = 4 may stop at the first root it proves."""
-    if a.is_zero():
-        raise ZeroElement("radical test needs a nonzero element")
-    return bool(_nth_roots(L, a * Fraction(-1, 4), 4))
+    whether x**4 + a/4 = x**4 - (-a/4) has a root."""
+    return _nth_root(L, a * Fraction(-1, 4), 4) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,13 @@ def squarefree_decomposition_reference(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def pth_root_reference(L: NumberField, a: NFElement, n: int) -> NFElement | None:
-    """The exact-only radical test: the least root (by sort key) of
-    x**n - a among the linear factors of its factorization over L, or
-    None.  The reference for in_minus4_fourth_powers(L, a) is whether
-    pth_root_reference(L, -a/4, 4) is not None."""
+    """The exact-only radical test: a root of x**n - a read off the first
+    linear factor of its factorization over L, or None.  The reference for
+    in_minus4_fourth_powers(L, a) is whether pth_root_reference(L, -a/4, 4)
+    is not None."""
     f = Poly([-a] + [L.zero] * (n - 1) + [L.one])
     _, factors = factor_over_K(L, f)
-    roots = [-(w.coeffs[0]) for w, _ in factors if w.degree == 1]
-    return min(roots, key=lambda r: r.sort_key()) if roots else None
+    return next((-(w.coeffs[0]) for w, _ in factors if w.degree == 1), None)
 
 
 def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:

@@ -947,7 +947,7 @@ def test_residue_sieve_matches_root_by_root_reference():
 
 def test_power_tests_match_exact_reference():
     # sieve-then-exact against exact-only on units, non-units and true
-    # powers: same roots, same verdicts
+    # powers: same verdicts, and every root returned is one
     rng = random.Random(32)
     fields = _sieve_fields()
     for L, u in zip(fields, _sieve_units(fields)):
@@ -961,7 +961,9 @@ def test_power_tests_match_exact_reference():
         elements.append(_nonintegral(rng, L) ** 4 * -4)
         for a in elements:
             for p in (2, 3, 5, 7):
-                assert pth_root_in_field(L, a, p) == pth_root_reference(L, a, p)
+                root = pth_root_in_field(L, a, p)
+                assert (root is None) == (pth_root_reference(L, a, p) is None)
+                assert root is None or root**p == a
             expected = pth_root_reference(L, a * Fraction(-1, 4), 4) is not None
             assert in_minus4_fourth_powers(L, a) == expected
 
@@ -1009,7 +1011,9 @@ def test_lifted_roots_match_factoring_reference(monkeypatch):
         bases = [_nonintegral(rng, L)] + ([u] if u is not None else [])
         for p in (2, 3, 5, 7):
             for a in [beta**p for beta in bases] + [bases[-1] ** (p + 1)]:
-                assert pth_root_in_field(L, a, p) == pth_root_reference(L, a, p), (L, a, p)
+                root = pth_root_in_field(L, a, p)
+                assert (root is None) == (pth_root_reference(L, a, p) is None), (L, a, p)
+                assert root is None or root**p == a, (L, a, p)
         a = _nonintegral(rng, L) ** 4 * -4
         assert in_minus4_fourth_powers(L, a)
         assert not in_minus4_fourth_powers(L, a * 3)
@@ -1036,24 +1040,61 @@ def test_lifted_roots_need_no_factoring(monkeypatch):
     beta = 1 + Q2.gen * Fraction(2, 3)
     assert pth_root_in_field(Q2, beta**3, 3) == beta
     gamma = Qm3.element([Fraction(-3, 5), Fraction(7, 2)])
-    assert pth_root_in_field(Qm3, gamma**2, 2) == min(
-        gamma, -gamma, key=lambda r: r.sort_key()
-    )
+    assert pth_root_in_field(Qm3, gamma**2, 2) in (gamma, -gamma)
     assert calls == []
 
 
-def test_cube_roots_over_q_sqrt_m3_fall_back_to_factoring(monkeypatch):
-    # 1 = l mod 3 at every l where t**2 + 3 has two roots, so no l is
-    # usable for p = 3: factoring finds the three roots beta * omega**k
+def test_cube_roots_over_q_sqrt_m3_lift_without_factoring(monkeypatch):
+    # 1 = l mod 3 at every l where t**2 + 3 has two roots, so beta**3 has
+    # the three cube roots beta * omega**k in L and 3 candidates at each
+    # root of t**2 + 3 mod l: 9 combinations, and the lift returns one root
     Qm3 = sqrtm3_field()
     beta = Qm3.element([Fraction(2, 3), Fraction(-1, 2)])
     omega = (Qm3.gen - 1) * Fraction(1, 2)
     roots = [beta, beta * omega, beta * omega**2]
     assert len(set(roots)) == 3 and all(r**3 == beta**3 for r in roots)
-    assert numfield._lifted_roots(Qm3, beta**3, 3) is None
     calls = _callers(monkeypatch, numfield, "factor_over_K")
-    assert pth_root_in_field(Qm3, beta**3, 3) == min(roots, key=lambda r: r.sort_key())
-    assert calls == ["_nth_roots"]
+    lifted = numfield._lifted_roots(Qm3, beta**3, 3)
+    assert lifted is not None and len(lifted) == 1 and lifted[0] in roots
+    assert pth_root_in_field(Qm3, beta**3, 3) in roots
+    assert calls == []
+
+
+def test_fifth_roots_over_q_zeta5_fall_back_to_factoring(monkeypatch):
+    # t**4 + t**3 + t**2 + t + 1 has four roots mod l only at l = 11, 31
+    # and 41 below 54, all 1 (mod 5): 5**4 = 625 combinations of fifth
+    # roots, past _LIFT_COMBINATIONS, so the lift settles nothing and
+    # x**5 - beta**5 is factored
+    Z5 = NumberField(qpoly(1, 1, 1, 1, 1))
+    assert [ell for ell, roots in Z5._certificate_primes() if len(roots) == 4] == [11, 31, 41]
+    assert 5**4 > numfield._LIFT_COMBINATIONS
+    beta = Z5.element([Fraction(1, 2), 0, Fraction(-2, 3), 1])
+    assert numfield._lifted_roots(Z5, beta**5, 5) is None
+    calls = _callers(monkeypatch, numfield, "factor_over_K")
+    root = pth_root_in_field(Z5, beta**5, 5)
+    assert root is not None and root**5 == beta**5
+    assert calls == ["_nth_root"]
+    assert pth_root_in_field(Z5, beta**5 * 3, 5) is None
+
+
+def test_minus4_fourth_powers_over_q_i_are_fourth_powers(monkeypatch):
+    # -4 = (1 + i)**4, so -4*Q(i)**4 = Q(i)**4: with i = zeta_4 in the
+    # field, x**4 - a has four roots, and halving the candidates by sign
+    # at one root of t**2 + 1 mod l must still leave one of them for the
+    # lift, with no factoring
+    Qi = gaussian_field()
+    assert (1 + Qi.gen) ** 4 == Qi.from_rational(-4)
+    rng = random.Random(36)
+    calls = _callers(monkeypatch, numfield, "factor_over_K")
+    for _ in range(4):
+        gamma = _nonintegral(rng, Qi)
+        calls.clear()
+        for a in (gamma**4, gamma**4 * -4):
+            assert in_minus4_fourth_powers(Qi, a), a
+        assert calls == []
+        for a in (gamma**2, gamma * 3):
+            expected = pth_root_reference(Qi, a, 4) is not None
+            assert in_minus4_fourth_powers(Qi, a) == expected, a
 
 
 def test_pth_root_degree_cap_runs_before_either_route():
