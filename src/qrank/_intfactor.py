@@ -5,13 +5,21 @@ Internal module.  Polynomials over Z are lists of Python ints in
 ascending order (index i = coefficient of x**i, no trailing zeros);
 polynomials over GF(p) are the same lists with every entry in [0, p),
 so zz_strip serves both and no coefficient size is bounded.
-zz_divmod is the engine's one division in Z[x]: besides the Hensel
-steps, numfield.norm_poly divides by its Bareiss pivots with it and
-hereditary.has_root_of_unity_root by the cyclotomic polynomials.
-A recombination candidate whose own L1 norm passes the Landau-Mignotte
-bound is rejected before its cofactor is built; for x**n - 1, whose
-reciprocal pairs pass the constant-term test, that saves a product of
-every other lifted factor per pair.
+zz_divmod is the engine's one division in Z[x], and its remainder is
+empty exactly when the divisor divides: besides the Hensel steps,
+Zassenhaus proves its candidates with it, numfield.norm_poly divides by
+its Bareiss pivots and hereditary.has_root_of_unity_root by the
+cyclotomic polynomials.
+Zassenhaus follows von zur Gathen and Gerhard, Modern Computer Algebra,
+section 15.6.  The prime scan keeps the Berlekamp kernel of the best
+prime so far, and f is split at the chosen prime with that kernel, so no
+kernel is built twice.  The lift stops at the half-degree bound: by
+Mignotte's bound a factor h of degree at most n/2 has
+||h||_1 <= 2**deg(h) * ||f||_2, and every larger factor is the cofactor
+of one that small.  So each candidate subset builds only its side of
+degree <= deg f / 2 (the subset or its complement), is rejected on its
+own L1 norm against the bound, and is accepted only when it divides f
+exactly.
 Recombination is exhaustive, with no lattice reduction, so it is
 bounded by _MAX_SUBSETS subsets per factorization: the Swinnerton-Dyer
 polynomial of degree 64 splits into at least 32 factors modulo every
@@ -23,7 +31,7 @@ BudgetExceeded.
 from __future__ import annotations
 
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .arith import is_prime
 from .errors import BudgetExceeded
@@ -70,10 +78,13 @@ def zz_mul(f: list[int], g: list[int]) -> list[int]:
 
 
 def zz_divmod(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by h in Z[x].  Each step divides the
-    top coefficient by lc(h), which is exact when h is monic (Hensel
-    steps, the cyclotomic test) or when h divides f (the Bareiss pivots
-    of numfield.norm_poly)."""
+    """Quotient and remainder of f by h in Z[x]; the remainder is empty
+    exactly when h divides f.  Each step divides the top coefficient by
+    lc(h), which is exact when h is monic (Hensel steps, the cyclotomic
+    test) or when h divides f (the Bareiss pivots of numfield.norm_poly).
+    A step that is not exact proves that h does not divide f: the
+    division stops there and returns the partial quotient and the
+    remainder reached so far, which is nonzero and of degree >= deg h."""
     dh = zz_degree(h)
     if zz_degree(f) < dh:
         return [], list(f)
@@ -84,7 +95,9 @@ def zz_divmod(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
         c = rem[i + dh]
         if c:
             if lc != 1:
-                c //= lc
+                c, r = divmod(c, lc)
+                if r:
+                    return zz_strip(quot), zz_strip(rem[: i + dh + 1])
             quot[i] = c
             for j, b in enumerate(h):
                 rem[i + j] -= c * b
@@ -104,14 +117,7 @@ def zz_trunc(f: list[int], m: int) -> list[int]:
 
 
 def zz_content(f: list[int]) -> int:
-    from math import gcd
-
-    c = 0
-    for a in f:
-        c = gcd(c, a)
-        if c == 1:
-            return 1
-    return c
+    return gcd(*f)
 
 
 def zz_primitive(f: list[int]) -> list[int]:
@@ -253,7 +259,11 @@ def _berlekamp_kernel(f: list[int], p: int) -> list[list[int]]:
 
 
 def gf_factor_count(f: list[int], p: int) -> int:
-    """Number of irreducible factors of squarefree monic f (Berlekamp nullity)."""
+    """Number of irreducible factors of squarefree monic f (Berlekamp nullity).
+
+    Zassenhaus reads the count off the kernel it keeps for the split, so
+    the engine does not call this; it stays as the public count for the
+    tests and for the benchmark, which traces it by name."""
     n = len(f) - 1
     if n <= 1:
         return n
@@ -261,16 +271,21 @@ def gf_factor_count(f: list[int], p: int) -> int:
 
 
 def gf_factor_squarefree(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of squarefree monic f over GF(p).
-
-    Classic Berlekamp with exhaustive subfield-element splitting; p is
-    always chosen small, so the s-loop is cheap.
-    """
+    """Monic irreducible factors of squarefree monic f over GF(p)."""
     f = gf_monic(f, p)
     n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
-    basis = _berlekamp_kernel(f, p)
+    return _berlekamp_split(f, p, _berlekamp_kernel(f, p))
+
+
+def _berlekamp_split(f: list[int], p: int, basis: list[list[int]]) -> list[list[int]]:
+    """Monic irreducible factors of the squarefree monic f of degree >= 2
+    over GF(p), from the basis of its Berlekamp kernel.
+
+    Classic Berlekamp with exhaustive subfield-element splitting; p is
+    always chosen small, so the s-loop is cheap.
+    """
     r = len(basis)
     # r pairwise coprime nonconstant pieces whose product is f are its r
     # irreducible factors, so the split stops once it holds r pieces
@@ -423,9 +438,9 @@ def _test_pl(fc: int, q: int, pl: int) -> bool:
 def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f with lc(f) > 0.
 
-    Zassenhaus: factor mod a good small prime, Hensel lift past the
-    Landau-Mignotte bound, recombine subsets exhaustively, at most
-    _MAX_SUBSETS of them.
+    Zassenhaus: factor mod a good small prime, Hensel lift past twice
+    the half-degree bound, recombine subsets exhaustively, at most
+    _MAX_SUBSETS of them, each proved by exact division.
     """
     f = zz_strip(list(f))
     n = zz_degree(f)
@@ -437,35 +452,41 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     fc = f[0]
     A = max(abs(c) for c in f)
     b = f[-1]
-    B = (isqrt(n + 1) + 1) * 2**n * A * abs(b)
+    # |b| times Mignotte's bound on ||h||_1 for a factor h of degree at
+    # most n/2; every later f divides this one, so the bound stays valid
+    # as factors are split off
+    B = (isqrt(n + 1) + 1) * 2 ** (n // 2) * A * abs(b)
 
     # compare up to five usable primes below 300; past 300 (the
-    # discriminant has swallowed every small prime) take the first one
-    candidates = []
+    # discriminant has swallowed every small prime) take the first one.
+    # The kernel of the best prime so far is kept for the split
+    best = None
+    scanned = 0
     for p in filter(is_prime, range(3, _MAX_P, 2)):
-        if candidates and p > 300:
+        if scanned and p > 300:
             break
         if b % p == 0:
             continue
         F = gf_from_zz(f, p)
         if not gf_is_squarefree(F, p):
             continue
-        count = gf_factor_count(gf_monic(F, p), p)
-        candidates.append((count, p))
+        F = gf_monic(F, p)
+        basis = _berlekamp_kernel(F, p)
+        count = len(basis)
         if count == 1:
             return [f]
-        if count < 10 and len(candidates) >= 3:
+        scanned += 1
+        if best is None or count < best[0]:
+            best = (count, p, F, basis)
+        if count < 10 and scanned >= 3:
             break
-        if len(candidates) >= 5:
+        if scanned >= 5:
             break
-    if not candidates:
+    if best is None:
         raise BudgetExceeded(f"no usable prime below {_MAX_P} for factoring")
-    _, p = min(candidates)
+    _, p, F, basis = best
 
-    modular = [
-        zz_trunc(ff, p)
-        for ff in gf_factor_squarefree(gf_monic(gf_from_zz(f, p), p), p)
-    ]
+    modular = [zz_trunc(ff, p) for ff in _berlekamp_split(F, p, basis)]
 
     # the least l with p**l > 2B, in integers
     l, pl = 1, p
@@ -487,36 +508,36 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                     f"than {_MAX_SUBSETS} subsets"
                 )
             # for a true factor h, b*prod g_i = (b/lc h)*h mod p**l, and
-            # (b/lc h)*h(0) divides b*fc
+            # (b/lc h)*h(0) divides b*fc, so for fc != 0 it is at most
+            # |b*fc| < p**l/2 and the test holds for h of any degree
             q = b
             for i in S:
                 q = q * g[i][0]
             if not _test_pl(b * fc, q % pl, pl):
                 continue
-            G = [b]
-            for i in S:
-                G = zz_mul(G, g[i])
-            G = zz_primitive(zz_trunc(G, pl))
-            # lc(H) = b with 0 < b < pl/2, so zz_l1(H) >= 1 and a
-            # candidate past the bound on its own norm has no cofactor
-            # worth building
-            lG = zz_l1(G)
-            if lG > B:
-                continue
-
+            # build the side of degree <= deg f / 2, the only one the
+            # bound covers: the subset itself or its complement
             rest = [gi for i, gi in enumerate(g) if i not in S]
-            H = [b]
-            for gi in rest:
-                H = zz_mul(H, gi)
-            H = zz_trunc(H, pl)
-
-            if lG * zz_l1(H) <= B:
-                g = rest
-                f = zz_primitive(H)
-                factors.append(G)
-                b = f[-1]
-                fc = f[0]
-                break
+            small = 2 * sum(len(g[i]) - 1 for i in S) <= zz_degree(f)
+            G = [b]
+            for gi in [g[i] for i in S] if small else rest:
+                G = zz_mul(G, gi)
+            G = zz_primitive(zz_trunc(G, pl))
+            if zz_l1(G) > B:
+                continue
+            H, r = zz_divmod(f, G)
+            if r:
+                continue
+            if not small:
+                G, H = H, G
+            # G is the factor for S and H its cofactor, both primitive
+            # with a positive leading coefficient
+            g = rest
+            f = H
+            factors.append(G)
+            b = f[-1]
+            fc = f[0]
+            break
         else:
             s += 1
 

@@ -553,16 +553,16 @@ def test_factors_pairwise_coprime():
 def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
     # every odd prime below 300 divides M, so modulo each of them both
     # inputs are x**2 or (x - 1)**2, not squarefree: the first usable
-    # prime is 307
+    # prime is 307, and the split there reuses the scan's kernel
     M = math.prod(primes_upto(300)[1:])
-    original = _intfactor.gf_factor_count
+    original = _intfactor._berlekamp_kernel
     primes = []
 
     def recording(f, p):
         primes.append(p)
         return original(f, p)
 
-    monkeypatch.setattr(_intfactor, "gf_factor_count", recording)
+    monkeypatch.setattr(_intfactor, "_berlekamp_kernel", recording)
     assert _intfactor.zz_factor_squarefree([-M, 0, 1]) == [[-M, 0, 1]]
     assert primes == [307]
     primes.clear()
@@ -572,11 +572,12 @@ def test_zassenhaus_prime_scan_goes_past_300(monkeypatch):
 
 
 def test_zassenhaus_lift_precision_passes_twice_the_bound(monkeypatch):
-    # f = (x - 1)(x - (M - 1)) has B = 8M = (3**40 + 15) / 2 and reduces
+    # f = (x - 1)(x - (M - 1)) has B = 4M = (3**40 + 15) / 2 and reduces
     # well mod 3; log(2B + 1, 3) rounds to 40 in floating point, and
     # 3**40 = 2B - 15 does not pass 2B
-    M = (3**40 + 15) // 16
-    B = (math.isqrt(3) + 1) * 2**2 * M
+    M = (3**40 + 15) // 8
+    B = (math.isqrt(3) + 1) * 2**1 * M
+    assert 2 * B == 3**40 + 15
     original = _intfactor.hensel_lift
     precisions = []
 
@@ -591,6 +592,100 @@ def test_zassenhaus_lift_precision_passes_twice_the_bound(monkeypatch):
     assert p == 3
     assert p**l > 2 * B
     assert p ** (l - 1) <= 2 * B
+
+
+def _sympy_integer_factors(f):
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("x"), domain="ZZ").factor_list()
+    out = []
+    for h, e in factors:
+        assert e == 1
+        h = [int(c) for c in reversed(h.all_coeffs())]
+        out.append(h if h[-1] > 0 else [-c for c in h])
+    return sorted(out)
+
+
+def test_zz_factor_squarefree_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    zz = _intfactor
+    rng = random.Random(24)
+
+    def product(*fs):
+        out = [1]
+        for h in fs:
+            out = zz.zz_mul(out, h)
+        return out
+
+    def check(f):
+        f = zz.zz_primitive(f)
+        if f[-1] < 0:
+            f = [-c for c in f]
+        got = zz.zz_factor_squarefree(f)
+        for h in got:
+            assert h[-1] > 0 and zz.zz_content(h) == 1, (f, h)
+        assert sorted(got) == _sympy_integer_factors(f), f
+        return got
+
+    def squarefree(f):
+        return sympy.Poly(f[::-1], sympy.Symbol("x"), domain="ZZ").is_sqf
+
+    x4 = [1, 0, 0, 0, 1]
+    shifted = [2, 4, 6, 4, 1]  # (x + 1)**4 + 1
+    sd2 = [1, 0, -10, 0, 1]  # x**4 - 10x**2 + 1
+    sd3 = [576, 0, -960, 0, 352, 0, -40, 0, 1]  # sqrt 2 + sqrt 3 + sqrt 5
+    # an irreducible factor of degree > n/2 next to a quartic that splits
+    # modulo every prime, with lc(f) = 3 in about half of the cases.  Each
+    # candidate is built on the side of degree <= deg f / 2 and divides f
+    # from there, so a factor found first that is larger than half of f
+    # came from building the complement of its subset
+    original = zz.zz_divmod
+    divisors = []
+
+    def recording(f, h):
+        divisors.append((list(f), zz.zz_degree(h)))
+        return original(f, h)
+
+    monkeypatch.setattr(zz, "zz_divmod", recording)
+    complement_side = 0
+    for _ in range(20):
+        big = [rng.randint(-9, 9) for _ in range(rng.randint(5, 8))] + [rng.choice((1, 3))]
+        f = product(big, rng.choice((x4, shifted, sd2)))
+        if big[0] == 0 or zz.zz_content(big) != 1 or not squarefree(f):
+            continue
+        divisors.clear()
+        got = check(f)
+        assert all(2 * d <= zz.zz_degree(f) for g, d in divisors if g == f)
+        if len(got) > 1 and 2 * zz.zz_degree(got[0]) > zz.zz_degree(f):
+            complement_side += 1
+    assert complement_side >= 5, complement_side
+    monkeypatch.undo()
+    # random products of two to four factors with lc(f) > 1
+    for _ in range(30):
+        parts = [
+            [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [rng.randint(2, 6)]
+            for _ in range(rng.randint(2, 4))
+        ]
+        f = product(*parts)
+        if squarefree(f):
+            check(f)
+    # x**n - 1, and cyclotomics at 2x times their reciprocals: the
+    # reciprocal pairs pass the constant-term test together
+    for n in (12, 30, 42, 60):
+        check([-1] + [0] * (n - 1) + [1])
+    phi = {d: [int(c) for c in cyclotomic(d).coeffs] for d in (3, 5, 7, 8, 9, 12)}
+    for _ in range(6):
+        ds = rng.sample(sorted(phi), 2)
+        parts = []
+        for d in ds:
+            at_2x = [c * 2**i for i, c in enumerate(phi[d])]
+            parts += [at_2x, at_2x[::-1]]
+        check(product(*parts))
+    # irreducible factors that split modulo every prime
+    for f in (x4, sd2, product(x4, shifted), product(x4, sd2), product(shifted, sd3)):
+        check(f)
+    assert check(sd3) == [sd3]
+    # 4x**4 + 1 = (2x**2 + 2x + 1)(2x**2 - 2x + 1)
+    assert sorted(check([1, 0, 0, 0, 4])) == [[1, -2, 2], [1, 2, 2]]
 
 
 def test_x_n_minus_1_factors_into_cyclotomics():
@@ -721,6 +816,17 @@ def test_zz_divmod_exact_non_monic_divisor():
     assert f == [-2, -3, 10, 15]
     assert _intfactor.zz_divmod(f, [2, 3]) == ([-1, 0, 5], [])
     assert _intfactor.zz_divmod(f, [-1, 0, 5]) == ([2, 3], [])
+
+
+def test_zz_divmod_inexact_non_monic_divisor_leaves_a_remainder():
+    # 3x + 2 does not divide x**2 - 4x - 4, and 3 does not divide the top
+    # coefficient 1, so the division stops with a nonzero remainder
+    q, r = _intfactor.zz_divmod([-4, -4, 1], [2, 3])
+    assert r
+    assert (q, r) == ([], [-4, -4, 1])
+    # (3x + 2)(x - 1) + 1: exact steps, then a nonzero remainder
+    f = _intfactor.zz_add(_intfactor.zz_mul([2, 3], [-1, 1]), [1])
+    assert _intfactor.zz_divmod(f, [2, 3]) == ([-1, 1], [1])
 
 
 def test_zz_divmod_divisor_of_higher_degree():
