@@ -188,13 +188,14 @@ def gf_diff(a: list[int], p: int) -> list[int]:
 
 
 def gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    # left to right, so each set bit of e multiplies by base itself, which
+    # for a linear base is a shift and one reduction step
+    base = gf_rem(base, mod, p)
     result = [1]
-    acc = gf_rem(base, mod, p)
-    while e > 0:
-        if e & 1:
-            result = gf_rem(gf_mul(result, acc, p), mod, p)
-        acc = gf_rem(gf_mul(acc, acc, p), mod, p)
-        e >>= 1
+    for bit in bin(e)[2:]:
+        result = gf_rem(gf_mul(result, result, p), mod, p)
+        if bit == "1":
+            result = gf_rem(gf_mul(result, base, p), mod, p)
     return result
 
 
@@ -203,6 +204,43 @@ def gf_is_squarefree(f: list[int], p: int) -> bool:
     if not d:
         return len(f) == 1
     return len(gf_gcd(f, d, p)) == 1
+
+
+def gf_sqrt(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p, by
+    Tonelli and Shanks (Cohen, GTM 138, algorithm 1.5.1)."""
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def gf_linear_roots(g: list[int], p: int) -> list[int]:
+    """The roots of a monic product g of distinct x - r in GF(p)[x], p
+    odd.  Two roots come from the quadratic formula.  More are split by
+    gcd(g, (x + c)**((p-1)/2) - 1), which keeps the x - r with r + c a
+    nonzero square (Cantor and Zassenhaus, with c tried in order, not
+    drawn).  The c that separate roots r != r' form the symmetric
+    difference of S - r and S - r', S the nonzero squares: of even size,
+    and not empty as S is no translate of itself, so some c != 0 does."""
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    if len(g) == 3:
+        s = gf_sqrt((g[1] * g[1] - 4 * g[0]) % p, p)
+        return [(t - g[1]) * ((p + 1) // 2) % p for t in (s, -s)]
+    for c in range(1, p):
+        h = gf_gcd(g, gf_sub(gf_pow_mod([c, 1], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return gf_linear_roots(h, p) + gf_linear_roots(gf_divmod(g, h, p)[0], p)
+    raise RuntimeError("no shift split the roots")
 
 
 def _berlekamp_kernel(f: list[int], p: int) -> list[list[int]]:

@@ -16,9 +16,9 @@ is factored.
 
 Each prime p is first filtered by norms, then by an exact power-residue
 sieve inside numfield.pth_root_in_field and in_minus4_fourth_powers: if
-alpha(r)**((l-1)/p) != 1 (mod l) at a root r of the defining polynomial
-of K(alpha) modulo a prime l = 1 (mod p) that is unramified and prime to
-every denominator, then alpha is not a p-th power (Lang, Algebra, VI
+alpha(r)**((l-1)/p) != 1 (mod l) at a simple root r of the defining
+polynomial of K(alpha) modulo a prime l = 1 (mod p) prime to every
+denominator, then alpha is not a p-th power (Lang, Algebra, VI
 section 8; Neukirch, Algebraic Number Theory, VII section 13).  This
 settles units, whose norm passes every odd p, without factoring
 x**p - alpha.  A prime the sieve cannot settle (a true power, mostly)
@@ -26,14 +26,17 @@ goes to an l-adic lift of candidate roots.  Only whether a root exists
 decides anything, so the lift stops at the first beta with
 beta**p == alpha exactly in K(alpha), and x**p - alpha is factored only
 when the lift settles nothing.  Each step is exact, so verdicts, prime
-bounds and tested primes do not depend on which one decided.
+bounds and tested primes do not depend on which one decided.  A linear
+factor x - alpha obstructed by alpha = beta**p splits through that beta
+as (x - beta) * (x**(p-1) + ... + beta**(p-1)), so only the cofactor is
+factored.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import config
@@ -52,6 +55,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .numfield import (
+    NFElement,
     NumberField,
     Obstruction,
     factor_over_K,
@@ -128,7 +132,9 @@ class HereditaryCertificate:
     an obstructed verdict capelli_certificate stores the witnessed split
     of factor(x**e).  The lift exponent says which power of x turned the
     tested base factor into the reported one; heredity is preserved by
-    that substitution.
+    that substitution.  For a p-th power obstruction, root holds the beta
+    with beta**p = alpha that the scan proved, in K(alpha), a Fraction when
+    that is Q; it is neither serialized nor compared.
     """
 
     factor: Poly
@@ -138,6 +144,7 @@ class HereditaryCertificate:
     obstruction: Obstruction | None = None
     witnessed_split: tuple[Poly, ...] | None = None
     lift_exponent: int = 1
+    root: NFElement | Fraction | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -203,17 +210,18 @@ def _height_floor(dL: int, deg_alpha: int, alpha_reciprocal: bool) -> float:
 
 
 def _certificate(
-    Q: Poly, bound: int, tested: list[int], obstruction: Obstruction | None
+    Q: Poly, bound: int, tested: list[int], obstruction: Obstruction | None, root=None
 ) -> HereditaryCertificate:
     return HereditaryCertificate(
-        Q, bound, tuple(tested), base_factor=Q, obstruction=obstruction
+        Q, bound, tuple(tested), base_factor=Q, obstruction=obstruction, root=root
     )
 
 
 def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     """Obstruction scan for an irreducible factor Q over K, as Q's
-    certificate with no witnessed split; preconditions (irreducible,
-    Q(0) != 0, no root-of-unity roots) are the caller's.
+    certificate with no witnessed split, holding the proved root of a
+    p-th power obstruction; preconditions (irreducible, Q(0) != 0, no
+    root-of-unity roots) are the caller's.
 
     A target m >= 1 asks only whether Q(x**m) is reducible.  By Capelli's
     criterion that needs only the primes dividing m, and the minus-four
@@ -260,10 +268,13 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
         # norm pre-filter: beta**p = alpha forces N(beta)**p = N(alpha)
         if norm_alpha < 0 and p % 2 == 0:
             continue
-        if rational_nth_root(norm_alpha, p) is None:
+        root = rational_nth_root(norm_alpha, p)
+        if root is None:
             continue
-        if L.degree == 1 or pth_root_in_field(L, alpha, p) is not None:
-            return _certificate(Q, bound, tested, Obstruction.pth_power(p))
+        if L.degree > 1:
+            root = pth_root_in_field(L, alpha, p)
+        if root is not None:
+            return _certificate(Q, bound, tested, Obstruction.pth_power(p), root)
     obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
     norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
@@ -275,9 +286,21 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
 
 def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
     """The factors over K, with multiplicity, of Q(x**e) for an
-    obstructed certificate of Q with exponent e; the obstruction
-    guarantees at least two."""
+    obstructed certificate of Q with exponent e, sorted as factor_over_K
+    sorts them; the obstruction guarantees at least two.
+
+    For Q = x - alpha and alpha = beta**p, beta in K being the root the
+    scan proved, x**p - alpha is x - beta times the cofactor
+    x**(p-1) + beta*x**(p-2) + ... + beta**(p-1), and only the cofactor is
+    factored (x + beta needs nothing for p = 2).  Every other shape factors
+    Q(x**e).  The degree cap holds Q(x**e) first either way."""
     Q, e = cert.factor, cert.obstruction.exponent
+    if Q.degree == 1 and cert.root is not None:
+        config.check_degree(Q.degree, e)
+        beta = cert.root
+        cofactor = K.poly([beta ** (e - 1 - i) for i in range(e)])
+        rest = [cofactor] if e == 2 else [w for w, _ in factor_over_K(K, cofactor)[1]]
+        return sorted([K.poly([-beta, 1]), *rest], key=poly_key)
     _, split = factor_over_K(K, substitute_power(Q, e))
     out = [w for w, m in split for _ in range(m)]
     if len(out) < 2:

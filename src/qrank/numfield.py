@@ -78,17 +78,14 @@ class NumberField:
         return NFElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def _certificate_primes(self):
-        """(l, roots) for the first _CERT_PRIMES primes l (2 to 53): the
-        roots r of m mod l, found by trying every residue, when
-        _squarefree_mod(self, l) accepts l, else an empty list.  Each entry is
+        """(l, roots) for the first _CERT_PRIMES primes l (2 to 53), with
+        the simple roots r of m mod l from _simple_roots.  Each entry is
         computed once, when a caller first reads that far."""
         scan = self._scan
         primes = filter(is_prime, count(2))
         for i, ell in enumerate(islice(primes, _CERT_PRIMES)):
             if i == len(scan):
-                m_ell = _squarefree_mod(self, ell)
-                tried = range(ell) if m_ell else ()
-                scan.append((ell, [r for r in tried if not _horner(m_ell, r, ell)]))
+                scan.append((ell, _simple_roots(self, ell)))
             yield scan[i]
 
     def element(self, coords) -> NFElement:
@@ -714,71 +711,70 @@ def flatten(
 
 
 # Work bounds of the power-residue sieve: primes l scanned per call, and
-# usable pairs (l, r) after which it gives up, counted per prime: a prime
-# adds the number of roots r of m mod l, all of which it tests at once
+# usable pairs (l, r) after which it gives up, the simple roots r of one
+# prime counted together; _simple_roots tries residues up to l*[K:Q] = _ROOT_SCAN
 _SIEVE_PRIMES = 40
 _SIEVE_PAIRS = 8
+_ROOT_SCAN = 2**10
 
 
-def _squarefree_mod(K: NumberField, ell: int) -> list[int] | None:
-    """m = K.min_poly mod l in GF(l)[x] when l divides no denominator of m
-    and m mod l is squarefree, so that l does not divide disc(m); else
-    None."""
+def _simple_roots(K: NumberField, ell: int) -> list[int]:
+    """The simple roots r of m = K.min_poly mod l, m(r) = 0 != m'(r), in
+    increasing order; [] when l divides a denominator of m.  At such r,
+    m = (x - r)*g + l*h with g(r) != 0 (mod l), so u - r = -l*h(u)/g(u)
+    in the localization R of Z_(l)[u] = Z_(l)[x]/(m) at (l, u - r): (l) is
+    its maximal ideal, R is a discrete valuation ring (Dedekind's
+    criterion; Cohen, GTM 138, section 6.1), so it holds every element of
+    K integral over Z_(l), and u -> r maps it onto GF(l), whether or not l
+    divides disc(m).  Every residue is tried while l*[K:Q] <= _ROOT_SCAN
+    or l = 2.  Past that, the simple roots other than 0 are those of
+    gcd(m mod l, x**l - x) / gcd(., m') (von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 14.2), found already split in two by
+    h = x**((l-1)/2) mod m, 1 at the nonzero squares and -1 at the other
+    nonzero residues: gcd(m, h -+ 1) / gcd(., m'), each split by
+    _intfactor.gf_linear_roots."""
     m, e = K._int_poly
     if e % ell == 0:
-        return None
+        return []
     m_ell = zz.gf_from_zz(_reduce(m, e, ell), ell)
-    return m_ell if zz.gf_is_squarefree(m_ell, ell) else None
+    dm = zz.gf_diff(m_ell, ell)
+    if ell * K.degree <= _ROOT_SCAN or ell == 2:
+        return [r for r in range(ell) if not _horner(m_ell, r, ell) and _horner(dm, r, ell)]
+    h = zz.gf_pow_mod([0, 1], (ell - 1) // 2, m_ell, ell)
+    roots = [0] if not m_ell[0] and m_ell[1] else []
+    for s in (1, ell - 1):
+        g = zz.gf_gcd(m_ell, zz.gf_sub(h, [s], ell), ell)
+        if len(g) > 1:
+            roots += zz.gf_linear_roots(zz.gf_divmod(g, zz.gf_gcd(g, dm, ell), ell)[0], ell)
+    return sorted(roots)
 
 
 def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
     """True only when a degree-one prime of L proves that the nonzero a
     is not an n-th power in L; False proves nothing.
 
-    The scan runs over the first _SIEVE_PRIMES primes l = 1 (mod n),
-    skipping every l that divides a denominator of a and every l that
-    _squarefree_mod(L, l) refuses, with m = L.min_poly.  Then l does not
-    divide disc(m), so the order Z_(l)[u] = Z_(l)[x]/(m) has a
-    discriminant prime to l and is the integral closure of Z_(l) in L.
-    If beta**n = a, then beta is integral over Z_(l), because a is
-    l-integral, hence beta = h(u) with h in Z_(l)[x].  For each root r of
-    m mod l, u -> r is a ring map Z_(l)[u] -> GF(l) (a degree-one prime
-    above l), so a(r) = h(r)**n.
-
-    The roots are not found one by one.  g = gcd(m mod l, x**l - x) is
-    the product of x - r over them (von zur Gathen and Gerhard, Modern
-    Computer Algebra, section 14.2), squarefree because m mod l is, so
-    GF(l)[x]/(g) is the product of one GF(l) per root, by the Chinese
-    remainder theorem, and c = a**((l-1)/n) mod g has the value
-    c(r) = a(r)**((l-1)/n) at each root r.  If a = beta**n, each c(r) is
-    0, where a(r) = 0, or h(r)**(l-1) = 1, so c*(c - 1) = 0 (mod g).
-    Conversely, where a(r) != 0, c(r) is an n-th root of unity, which is
-    1 exactly when a(r) lies in the subgroup of n-th powers of GF(l)*, of
-    index n since n | l - 1.  So c*(c - 1) != 0 (mod g) says that a(r)
-    is a nonzero non-n-th power at some root r, and proves that a is not
-    an n-th power.
-
-    By Kummer theory and Chebotarev's density theorem a non-n-th power
-    fails this test at a positive density of primes (Lang, Algebra, VI
-    section 8; Neukirch, Algebraic Number Theory, VII section 13), so a
-    few primes usually settle it.  The work is bounded by _SIEVE_PRIMES
-    primes and _SIEVE_PAIRS pairs (l, r), the roots of one prime counted
-    together.
+    The scan runs over the first _SIEVE_PRIMES primes l = 1 (mod n) that
+    divide no denominator of a, at the simple roots r of m = L.min_poly
+    mod l from _simple_roots.  If beta**n = a, then beta is integral over
+    Z_(l), as a is, and its residue s at (l, u - r) has s**n = a(r).  So
+    a(r)**((l-1)/n) is 1 where a(r) != 0, the n-th powers being the
+    subgroup of GF(l)* of index n; any other value proves that a is not an
+    n-th power.  By Kummer theory and Chebotarev's density theorem a
+    non-n-th power fails at a positive density of primes (Lang, Algebra,
+    VI section 8; Neukirch, Algebraic Number Theory, VII section 13), so a
+    few usually settle it, within _SIEVE_PRIMES primes and _SIEVE_PAIRS.
     """
     pairs = 0
     for ell in islice(filter(is_prime, count(n + 1, n)), _SIEVE_PRIMES):
-        m_ell = _squarefree_mod(L, ell) if a.den % ell else None
-        if m_ell is None:
+        roots = _simple_roots(L, ell) if a.den % ell else []
+        if not roots:
             continue
-        x_l = zz.gf_sub(zz.gf_pow_mod([0, 1], ell, m_ell, ell), [0, 1], ell)
-        g = zz.gf_gcd(m_ell, x_l, ell)
-        if len(g) == 1:
-            continue
-        a_ell = zz.gf_from_zz(_reduce(a.num, a.den, ell), ell)
-        c = zz.gf_pow_mod(a_ell, (ell - 1) // n, g, ell)
-        if zz.gf_rem(zz.gf_mul(c, zz.gf_sub(c, [1], ell), ell), g, ell):
-            return True
-        pairs += len(g) - 1
+        a_ell = _reduce(a.num, a.den, ell)
+        for r in roots:
+            v = _horner(a_ell, r, ell)
+            if v and pow(v, (ell - 1) // n, ell) != 1:
+                return True
+        pairs += len(roots)
         if pairs >= _SIEVE_PAIRS:
             return False
     return False
@@ -839,19 +835,18 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
     there is none; None when this route settles nothing.
 
     The prime l comes from L._certificate_primes: m = L.min_poly has
-    d = [L:Q] distinct roots r mod l, l divides neither n nor a denominator
-    of b, and b(r) != 0 (mod l) at every root.  As in
-    _residue_sieve_rejects, Z_(l)[u] is then the integral closure of Z_(l)
-    in L, so a root beta = h(u) with h in Z_(l)[x] has h(r)**n = b(r) at
-    every r: if some b(r) has no n-th root in GF(l), found by trying
-    residues, there is no beta.  Otherwise the roots of m and the values
-    s = h(r) are lifted together by Newton's iteration modulo l**e, e
-    doubling up to the cap set out above _LIFT_COMBINATIONS, which needs
-    only that m'(r) and n*s**(n-1) are units mod l; h is their Lagrange
-    interpolation, and each coordinate is read back by rational
+    d = [L:Q] simple roots r mod l, l divides neither n nor a denominator
+    of b, and b(r) != 0 (mod l) at every root.  A root beta is integral
+    over Z_(l), as b is, so its residue s at each prime (l, u - r) of
+    _simple_roots has s**n = b(r): if some b(r) has no n-th root in GF(l),
+    found by trying residues, there is no beta.  Otherwise the roots of m
+    and the values s are lifted together by Newton's iteration modulo
+    l**e, e doubling up to the cap set out above _LIFT_COMBINATIONS, which
+    needs only that m'(r) and n*s**(n-1) are units mod l; the coordinates
+    of beta are their Lagrange interpolation, each read back by rational
     reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra,
-    section 5.10 and chapter 9).  For even n, -beta is a root with beta, so the
-    value at the first root is tried up to sign.
+    section 5.10 and chapter 9).  For even n, -beta is a root with beta,
+    so the value at the first root is tried up to sign.
     """
     d = L.degree
     for ell, roots in L._certificate_primes():
@@ -937,12 +932,11 @@ def _nth_root(L: NumberField, b: NFElement, n: int) -> NFElement | None:
     """A root of x**n - b in L, or None when there is none, for a nonzero b.
 
     Three steps, each exact.  A power-residue sieve (_residue_sieve_rejects)
-    first tests, for some l = 1 (mod n) prime to disc(m_L) and to the
-    denominators, every degree-one prime of L above l at once, by one
-    exponentiation modulo gcd(m_L mod l, x**l - x); at a prime where b is
-    not an n-th power residue, a root beta would be l-integral and map to
-    an n-th root of b(r) in GF(l), so there is none (Lang, Algebra, VI
-    section 8).  Then _lifted_roots lifts candidate roots l-adically and
+    first tests b(r)**((l-1)/n) at the simple roots r of m_L mod l, for
+    some l = 1 (mod n) prime to the denominators; where b is not an n-th
+    power residue, a root beta would be l-integral and map to an n-th root
+    of b(r) in GF(l), so there is none (Lang, Algebra, VI section 8).
+    Then _lifted_roots lifts candidate roots l-adically and
     returns one with beta**n == b, or proves there is none.  Otherwise
     x**n - b is factored over L and a root is read off its first linear
     factor.  Neither route decides anything the other would decide

@@ -251,13 +251,14 @@ def pth_root_reference(L: NumberField, a: NFElement, n: int) -> NFElement | None
 
 
 def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:
-    """The power-residue sieve root by root.  Over the first _SIEVE_PRIMES
-    primes l = 1 (mod n) that divide no denominator of a or of
-    m = L.min_poly and keep m mod l squarefree, the roots r of m mod l
-    are found by trying every residue: True at the first r with
-    a(r) != 0 and a(r)**((l-1)/n) != 1 (mod l), False once _SIEVE_PAIRS
-    roots have passed, the roots of one prime counted together."""
+    """The power-residue sieve by its definition.  Over the first
+    _SIEVE_PRIMES primes l = 1 (mod n) that divide no denominator of a or
+    of m = L.min_poly, the simple roots r of m mod l (m(r) = 0, m'(r) != 0)
+    are found by trying every residue: True at the first r with a(r) != 0
+    and a(r)**((l-1)/n) != 1 (mod l), False once _SIEVE_PAIRS roots have
+    passed, the roots of one prime counted together."""
     m = L.min_poly.coeffs
+    dm = [i * c for i, c in enumerate(m)][1:]
 
     def mod(c, ell):
         return c.numerator * pow(c.denominator, -1, ell) % ell
@@ -269,10 +270,7 @@ def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:
     for ell in islice(filter(is_prime, count(n + 1, n)), _SIEVE_PRIMES):
         if any(c.denominator % ell == 0 for c in (*m, *a.coords)):
             continue
-        m_ell = gf_from_zz([mod(c, ell) for c in m], ell)
-        if not gf_is_squarefree(m_ell, ell):
-            continue
-        roots = [r for r in range(ell) if value(m, r, ell) == 0]
+        roots = [r for r in range(ell) if value(m, r, ell) == 0 and value(dm, r, ell)]
         for r in roots:
             v = value(a.coords, r, ell)
             if v and pow(v, (ell - 1) // n, ell) != 1:

@@ -41,7 +41,7 @@ from qrank.numfield import (
     minimal_polynomial,
     pth_root_in_field,
 )
-from qrank.poly import Poly, gcd, substitute_power
+from qrank.poly import Poly, gcd, poly_key, substitute_power
 
 
 def test_root_of_unity_examples():
@@ -398,6 +398,39 @@ def test_obstructed_certificate_witnesses_split():
     cert = capelli_certificate(QQ, qpoly(4, 1))
     assert cert.obstruction == Obstruction.minus_four()
     assert len(cert.witnessed_split) == 2
+
+
+def test_split_from_the_root_matches_factoring(monkeypatch):
+    # x - beta**p splits through beta as x - beta times the cofactor
+    # x**(p-1) + ... + beta**(p-1): the same factors as factoring
+    # x**p - beta**p, with only the cofactor factored, and nothing for p = 2
+    rng = random.Random(41)
+    degrees = []
+    original = hereditary.factor_over_K
+
+    def counting(K, f):
+        degrees.append(f.degree)
+        return original(K, f)
+
+    for K in (QQ, gaussian_field(), sqrt2_field(), sqrtm3_field()):
+        for p in (2, 3, 5):
+            for _ in range(3):
+                coords = [Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.choice([1, 11, 13]))]
+                coords += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K.degree - 1)]
+                alpha = K.element(coords) ** p
+                Q = K.poly([-alpha, 1])
+                cert = hereditary._power_test(K, Q, p)
+                assert cert.obstruction == Obstruction.pth_power(p)
+                assert K.poly([cert.root]).coeffs[0] ** p == alpha
+                degrees.clear()
+                monkeypatch.setattr(hereditary, "factor_over_K", counting)
+                split = hereditary._split(K, cert)
+                monkeypatch.setattr(hereditary, "factor_over_K", original)
+                assert degrees == ([] if p == 2 else [p - 1])
+                _, want = factor_over_K(K, substitute_power(Q, p))
+                assert [poly_key(w) for w in split] == [
+                    poly_key(w) for w, m in want for _ in range(m)
+                ], (K, alpha, p)
 
 
 @pytest.mark.parametrize(

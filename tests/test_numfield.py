@@ -1018,9 +1018,9 @@ def test_residue_sieve_never_rejects_true_powers():
         assert not numfield._residue_sieve_rejects(L, gamma**4, 4), (L, gamma)
         assert in_minus4_fourth_powers(L, a)
     # u**2 = 45: 3 = 1 (mod 2) divides the index of Z[u] in the maximal
-    # order, so u**2 - 45 is not squarefree mod 3.  beta = -3/7 + 2u/3 is
-    # not 3-integral in Z[u] while beta**2 is, and beta**2 is a non-residue
-    # at the root 0 mod 3: only the squarefree condition skips l = 3
+    # order, and 0 is a double root of u**2 - 45 mod 3.  beta = -3/7 + 2u/3
+    # is not 3-integral in Z[u] while beta**2 is, and beta**2 is a
+    # non-residue at that root: only the simple-root condition skips l = 3
     L = NumberField(qpoly(-45, 0, 1))
     beta = L.element([Fraction(-3, 7), Fraction(2, 3)])
     assert not numfield._residue_sieve_rejects(L, beta**2, 2)
@@ -1028,11 +1028,13 @@ def test_residue_sieve_never_rejects_true_powers():
 
 
 def test_residue_sieve_matches_root_by_root_reference():
-    # one exponentiation modulo gcd(m, x**l - x) against a(r)**((l-1)/n)
-    # at every root r found by trying residues, with the same budgets
+    # the sieve against its definition, a(r)**((l-1)/n) at every simple
+    # root r found by trying residues, with the same budgets, also over a
+    # field whose m is not squarefree mod 3
     rng = random.Random(33)
     fields = _sieve_fields()
-    for L, u in zip(fields, _sieve_units(fields)):
+    cubic = _cubic_with_double_root_mod_3()
+    for L, u in zip([*fields, cubic], [*_sieve_units(fields), None]):
         elements = [_nonintegral(rng, L) for _ in range(3)]
         integral = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(L.degree - 1)]
         elements.append(L.element(integral))
@@ -1049,6 +1051,58 @@ def test_residue_sieve_matches_root_by_root_reference():
     for b, n in (((2 - Qi.gen) ** 2, 2), ((2 - Qi.gen) ** 4, 4)):
         assert not residue_sieve_reference(Qi, b, n)
         assert not numfield._residue_sieve_rejects(Qi, b, n)
+
+
+def _cubic_with_double_root_mod_3():
+    """Q[t]/(t**3 - 2t**2 + t + 3), with t**3 - 2t**2 + t + 3 = t(t - 1)**2
+    (mod 3): a simple root 0 and a double root 1."""
+    return NumberField(qpoly(3, 1, -2, 1))
+
+
+def test_simple_roots_both_routes_agree(monkeypatch):
+    # trying every residue against gcd(m, x**l - x) / gcd(., m') split by
+    # quadratic characters, for every l below 2**11
+    for L in [*_sieve_fields(), _cubic_with_double_root_mod_3()]:
+        for ell in primes_upto(2**11):
+            monkeypatch.setattr(numfield, "_ROOT_SCAN", 2**11 * L.degree)
+            by_residues = numfield._simple_roots(L, ell)
+            monkeypatch.setattr(numfield, "_ROOT_SCAN", 0)
+            assert numfield._simple_roots(L, ell) == by_residues, (L, ell)
+
+
+def test_residue_sieve_tries_no_residue_past_the_crossover(monkeypatch):
+    # rank of the reciprocal unit x^4 + 3x^3 + 3x + 1 runs the sieve for
+    # every p up to its bound 362, and l = 1 (mod 359) starts at 719:
+    # trying every residue there made that rank about seven times slower.
+    # Past l*[L:Q] = 2**10, _horner evaluates a only at the simple roots
+    L = flatten(QQ, qpoly(1, 3, 0, 3, 1)).field
+    evaluated = collections.Counter()
+    original = numfield._horner
+
+    def counting(f, r, ell):
+        evaluated[ell] += 1
+        return original(f, r, ell)
+
+    monkeypatch.setattr(numfield, "_horner", counting)
+    assert numfield._residue_sieve_rejects(L, L.gen, 359)
+    monkeypatch.setattr(numfield, "_horner", original)
+    assert evaluated and all(ell * L.degree > numfield._ROOT_SCAN for ell in evaluated)
+    for ell, calls in evaluated.items():
+        assert calls <= len(numfield._simple_roots(L, ell)), ell
+
+
+def test_residue_sieve_counts_simple_roots_where_m_is_not_squarefree(monkeypatch):
+    # m = t(t - 1)**2 (mod 3) is not squarefree, yet its simple root 0 is
+    # a degree-one prime: t + 2 (norm 15, no square) is 2 there, no square
+    # mod 3, so l = 3, the first l = 1 (mod 2), rejects it alone
+    L = _cubic_with_double_root_mod_3()
+    assert numfield._simple_roots(L, 3) == [0]
+    a = L.gen + 2
+    assert a.norm() == 15
+    monkeypatch.setattr(numfield, "_SIEVE_PRIMES", 1)
+    assert numfield._residue_sieve_rejects(L, a, 2)
+    assert residue_sieve_reference(L, a, 2)
+    assert pth_root_in_field(L, a, 2) is None
 
 
 def test_power_tests_match_exact_reference():
