@@ -162,11 +162,11 @@ def perfect_power_exponent(x: Fraction | int) -> int:
         raise NonPositive(f"perfect_power_exponent requires x > 0, got {x}")
     if x == 1:
         raise ValueError("1 is an e-th power for every e")
-    e = 1
-    for p in primes_upto(max(x.numerator, x.denominator).bit_length()):
-        while (root := rational_nth_root(x, p)) is not None:
-            x = root
-            e *= p
+    n, d, e = x.numerator, x.denominator, 1
+    root = integer_nth_root
+    for p in primes_upto(max(n, d).bit_length()):
+        while (a := root(n, p)) ** p == n and (b := root(d, p)) ** p == d:
+            n, d, e = a, b, e * p
     return e
 
 

@@ -9,9 +9,10 @@ power test, prolongation, oracles, eigenvalue compatibility).  The
 hereditary worklist also bounds P(x**acc) before each split and before
 its lift.  Reduct ranks check deg P * n, though they build at most
 P(x**N) with N dividing n.  check_degree is the one place that reads it.
-QRANK_MAX_PRIME caps the prime search of the power-obstruction test in
-the hereditary search; reduct ranks test only the primes dividing n and
-do not read it.
+QRANK_MAX_PRIME caps the height bound of the power-obstruction test in
+the hereditary search, which only a unit root needs; a non-unit tests
+only the primes dividing the exponent read off its minimal polynomial,
+and reduct ranks only the primes dividing n, with no cap.
 Exceeding either is always a loud BudgetExceeded, never a silent pass; a
 value that is not an integer >= 1 is a ParseError naming the variable.
 """

@@ -5,27 +5,28 @@ that stay irreducible under every further substitution x -> x**n.
 The obstruction test decides whether x**n - alpha can ever become
 reducible (alpha a root of the factor under test): by the radical
 irreducibility criterion this happens only if alpha is a p-th power in
-K(alpha) for some prime p, or alpha lies in -4*K(alpha)**4.  The primes
-that need testing are bounded by height(alpha) / h_min, where h_min is
-a proven lower bound for heights of candidate roots.  A search aimed at
-one exponent n, as for reduct ranks, needs only the primes dividing n
-(Capelli's criterion) and no height bound.  A rational alpha runs the
-same scan, in which the norm test is exact: alpha is its own norm, only
-the primes dividing its perfect-power exponent are tried, and nothing
-is factored.
+K(alpha) for some prime p, or alpha lies in -4*K(alpha)**4.  For a
+non-unit alpha, rational or not, those primes divide an exponent e read
+off the end coefficients of alpha's minimal polynomial.  Only a unit,
+with no such e, needs a height bound: primes up to height(alpha) /
+h_min, where h_min is a proven lower bound for heights of candidate
+roots.  A search aimed at one exponent n, as for reduct ranks, needs
+only the primes dividing n as well (Capelli's criterion), so no height
+bound at all.
 
-Each prime p is first filtered by norms, then by an exact power-residue
-sieve inside numfield.pth_root_in_field and in_minus4_fourth_powers: if
-alpha(r)**((l-1)/p) != 1 (mod l) at a simple root r of the defining
-polynomial of K(alpha) modulo a prime l = 1 (mod p) prime to every
-denominator, then alpha is not a p-th power (Lang, Algebra, VI
-section 8; Neukirch, Algebraic Number Theory, VII section 13).  This
-settles units, whose norm passes every odd p, without factoring
-x**p - alpha.  A prime the sieve cannot settle (a true power, mostly)
-goes to an l-adic lift of candidate roots.  Only whether a root exists
-decides anything, so the lift stops at the first beta with
-beta**p == alpha exactly in K(alpha), and x**p - alpha is factored only
-when the lift settles nothing.  Each step is exact, so verdicts, prime
+Each prime p is first filtered by the sign of the norm (p = 2 only:
+|N(alpha)| is a p-th power for every prime tested), then by an exact
+power-residue sieve inside numfield.pth_root_in_field and
+in_minus4_fourth_powers: if alpha(r)**((l-1)/p) != 1 (mod l) at a simple
+root r of the defining polynomial of K(alpha) modulo a prime
+l = 1 (mod p) prime to every denominator, then alpha is not a p-th power
+(Lang, Algebra, VI section 8; Neukirch, Algebraic Number Theory, VII
+section 13).  This settles most primes without factoring x**p - alpha.
+A prime the sieve cannot settle (a true power, mostly) goes to an
+l-adic lift of candidate roots.  Only whether a root exists decides
+anything, so the lift stops at the first beta with beta**p == alpha
+exactly in K(alpha), and x**p - alpha is factored only when the lift
+settles nothing.  Each step is exact, so verdicts, prime
 bounds and tested primes do not depend on which one decided.  A linear
 factor x - alpha obstructed by alpha = beta**p splits through that beta
 as (x - beta) * (x**(p-1) + ... + beta**(p-1)), so only the cofactor is
@@ -71,7 +72,6 @@ from .numfield import (
 from .poly import Poly, poly_key, substitute_power
 
 # Height floor constants, all rounded down so prime bounds round up.
-_LOG_2_DOWN = 0.6931  # heights of rationals other than 0, +-1
 _HALF_LOG_GOLDEN_DOWN = 0.2406  # degree-2 minimum: (1/2) log((1+sqrt5)/2)
 _LOG_SMYTH_DOWN = 0.2811  # log of the real root of x^3 - x - 1
 
@@ -124,10 +124,11 @@ class HereditaryCertificate:
     """Per-factor evidence.
 
     primes_tested lists the primes the scan went through, in order and
-    up to the obstructing one if any: every prime up to the height bound
-    prime_bound, those the norm filter settles included, or the primes
-    dividing prime_bound when it is a target exponent or the perfect-power
-    exponent of a rational root.  An irreducible verdict means the root
+    up to the obstructing one if any: the primes dividing prime_bound,
+    gcd(e, m) for a root with end-coefficient exponent e (a non-unit) or
+    a target exponent m, and otherwise, for a unit in the hereditary
+    search, every prime up to its height bound prime_bound, those the
+    norm sign settles included.  An irreducible verdict means the root
     is a p-th power for none of them and the minus-four test failed.  For
     an obstructed verdict capelli_certificate stores the witnessed split
     of factor(x**e).  The lift exponent says which power of x turned the
@@ -170,43 +171,40 @@ class HereditaryFactorization:
     certificates: tuple[HereditaryCertificate, ...]
 
 
-def _reciprocal_int_poly(ints: list[int]) -> bool:
-    rev = list(reversed(ints))
-    return rev == ints or rev == [-c for c in ints]
-
-
-def _voutier_floor(d: int) -> float:
-    v = (math.log(math.log(d)) / math.log(d)) ** 3 / (4 * d)
-    return v * (1 - 1e-9)
-
-
-def _height_floor(dL: int, deg_alpha: int, alpha_reciprocal: bool) -> float:
-    """Lower bound for the height of any non-torsion beta in L whose
-    p-th power could be alpha.
+def _unit_prime_bound(dL: int, ints: list[int], cap: int) -> int:
+    """The primes up to which a unit alpha of L, [L:Q] = dL, with
+    primitive integer minimal polynomial ints, needs the power test:
+    ceil(h(alpha) / h_min), as h(beta**p) = p * h(beta) for a non-torsion
+    beta whose p-th power could be alpha, and h_min bounds h(beta) from
+    below.  BudgetExceeded past the prime cap.  Floats only size this
+    bound, rounded so that it rounds up.
 
     Such beta generates a field between Q(alpha) and L, so its degree is
-    a multiple of deg(alpha) dividing [L:Q].  Degree 1 gives log 2,
-    degree 2 the golden-ratio minimum.  An irreducible polynomial of odd
-    degree >= 3 is never self-reciprocal, and a reciprocal beta would
-    force alpha reciprocal, so Smyth's nonreciprocal minimum applies to
-    every remaining degree unless alpha is reciprocal and the degree is
-    even; only that case falls back to the generic Lehmer-type floor.
+    a multiple of deg(alpha) >= 2 (the rational units are +-1, roots of
+    unity) dividing [L:Q].  Degree 2 gives the golden-ratio minimum.  An
+    irreducible polynomial of odd degree >= 3 is never self-reciprocal,
+    and a reciprocal beta would force alpha reciprocal, so Smyth's
+    nonreciprocal minimum applies to every remaining degree unless alpha
+    is reciprocal and the degree is even; only that case falls back to
+    Voutier's Lehmer-type floor.
     """
-    best = math.inf
-    for j in range(1, dL // deg_alpha + 1):
-        d = deg_alpha * j
+    deg_alpha = len(ints) - 1
+    reciprocal = ints[::-1] in (ints, [-c for c in ints])
+    h_min = math.inf
+    for d in range(deg_alpha, dL + 1, deg_alpha):
         if dL % d:
             continue
-        if d == 1:
-            b = _LOG_2_DOWN
-        elif d == 2:
+        if d == 2:
             b = _HALF_LOG_GOLDEN_DOWN
-        elif d % 2 == 1 or not alpha_reciprocal:
+        elif d % 2 == 1 or not reciprocal:
             b = _LOG_SMYTH_DOWN / d
         else:
-            b = _voutier_floor(d)
-        best = min(best, b)
-    return best
+            b = (math.log(math.log(d)) / math.log(d)) ** 3 / (4 * d) * (1 - 1e-9)
+        h_min = min(h_min, b)
+    bound = max(1, math.ceil(mahler_measure_upper(ints) / deg_alpha / h_min))
+    if bound > cap:
+        raise BudgetExceeded(f"power test needs primes up to {bound}, cap is {cap}")
+    return bound
 
 
 def _certificate(
@@ -223,55 +221,52 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     p-th power obstruction; preconditions (irreducible, Q(0) != 0, no
     root-of-unity roots) are the caller's.
 
-    A target m >= 1 asks only whether Q(x**m) is reducible.  By Capelli's
-    criterion that needs only the primes dividing m, and the minus-four
-    test only when 4 divides m, so no height bound is computed and the
-    prime cap is not read.  The default m = 0 scans for every exponent
-    at once (every integer divides 0): all primes up to the height
-    bound, held to the prime cap.  For a rational root alpha the norm
-    test is exact, so the primes are those dividing gcd(e, m), e the
-    perfect-power exponent of |alpha|, and each one it passes obstructs.
+    The default m = 0 scans for every exponent at once (every integer
+    divides 0).  A target m >= 1 asks only whether Q(x**m) is reducible,
+    which by Capelli's criterion needs only the primes dividing m, and
+    the minus-four test only when 4 divides m.  Either way the primes
+    are those dividing gcd(e, m), e read off the end coefficients a_0,
+    a_d of the primitive integer minimal polynomial mp of alpha: with
+    k = [L:Q]/deg mp, |a_0|**k and |a_d|**k are the norms of the
+    numerator and denominator ideals of alpha (Gauss's lemma), both p-th
+    powers if alpha = beta**p, so p divides e = k * the gcd of the
+    perfect-power exponents of the ends other than +-1 (Bombieri and
+    Gubler, Heights in Diophantine Geometry, section 1.6).  A unit has
+    no such end and e = 0: for m = 0 it takes every prime up to its
+    height bound, held to the prime cap.
 
-    The norms of the prefilters come from the minimal polynomial mp of
-    alpha, with no element norm: the characteristic polynomial of alpha
-    in L is mp**([L:Q]/deg mp), so N(alpha) = ((-1)**deg mp *
-    mp(0))**([L:Q]/deg mp), and N(-alpha/4) = (-1/4)**[L:Q] * N(alpha).
+    The norms come from mp, with no element norm: N(alpha) = ((-1)**deg mp
+    * mp(0))**k and N(-alpha/4) = (-1/4)**[L:Q] * N(alpha).  |N(alpha)|,
+    (|a_0|/|a_d|)**k or 1 for a unit, is a p-th power for every prime
+    tested, so the norm rules out only p = 2, by its sign.  A rational
+    alpha over Q is its own norm: the first prime that passes obstructs.
     """
-    # read before flatten, so a malformed cap fails on rational roots too
+    # read before flatten, so a malformed cap fails for non-units too
     cap = 0 if m else config.max_prime()
     ext = flatten(K, Q, trusted=True)
     L, alpha = ext.field, ext.alpha
-    if L.degree == 1:
-        norm_alpha = alpha.as_rational()
-        bound = math.gcd(perfect_power_exponent(abs(norm_alpha)), m)
+    # flatten returns alpha = L.gen over Q and at Trager shift 0
+    mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
+    k = L.degree // mp.degree
+    ints = _to_primitive_int(mp)
+    ends = [abs(c) for c in (ints[0], ints[-1]) if abs(c) != 1]
+    bound = math.gcd(k * math.gcd(*map(perfect_power_exponent, ends)), m)
+    if bound:
+        primes = [p for p in primes_upto(bound) if bound % p == 0]
     else:
-        # flatten returns alpha = L.gen over Q and at Trager shift 0
-        mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
-        norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** (L.degree // mp.degree)
-        bound = m
-        if not m:
-            ints = _to_primitive_int(mp)
-            h_up = mahler_measure_upper(ints) / mp.degree
-            h_min = _height_floor(L.degree, mp.degree, _reciprocal_int_poly(ints))
-            bound = max(1, math.ceil(h_up / h_min))
-            if bound > cap:
-                raise BudgetExceeded(
-                    f"power test needs primes up to {bound}, cap is {cap}"
-                )
-    primes = primes_upto(bound)
-    if m or L.degree == 1:
-        primes = [p for p in primes if bound % p == 0]
+        bound = _unit_prime_bound(L.degree, ints, cap)
+        primes = primes_upto(bound)
+    norm_alpha = ((-1) ** mp.degree * mp.coeffs[0]) ** k
 
     tested = []
     for p in primes:
         tested.append(p)
-        # norm pre-filter: beta**p = alpha forces N(beta)**p = N(alpha)
-        if norm_alpha < 0 and p % 2 == 0:
+        # beta**2 = alpha forces N(alpha) = N(beta)**2 > 0
+        if p == 2 and norm_alpha < 0:
             continue
-        root = rational_nth_root(norm_alpha, p)
-        if root is None:
-            continue
-        if L.degree > 1:
+        if L.degree == 1:
+            root = rational_nth_root(alpha.as_rational(), p)
+        else:
             root = pth_root_in_field(L, alpha, p)
         if root is not None:
             return _certificate(Q, bound, tested, Obstruction.pth_power(p), root)

@@ -982,8 +982,10 @@ def minimal_polynomial(a: NFElement) -> Poly:
     each divisor k > 1 of deg chi, largest first, and built up to r**k
     only when r(0)**k == chi(0).  As mp is irreducible, r**k == chi = mp**j
     forces r = mp**(j/k), so the first k that passes is j itself and
-    r = mp; if none passes, j = 1 and chi = mp.
+    r = mp; if none passes, j = 1 and chi = mp.  A rational a has x - a.
     """
+    if a.is_rational():
+        return Poly([-a.as_rational(), Fraction(1)])
     K = a.field
     chi = norm_poly(K, Poly([-a, K.one]))
     if _certified_squarefree(chi):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import count, islice
@@ -15,6 +16,9 @@ from qrank.numfield import (
     NumberField,
     factor_over_K,
     factor_over_Q,
+    flatten,
+    mahler_measure_upper,
+    minimal_polynomial,
     _SIEVE_PAIRS,
     _SIEVE_PRIMES,
     _to_primitive_int,
@@ -40,6 +44,19 @@ def sqrt3_field() -> NumberField:
 
 def sqrtm3_field() -> NumberField:
     return NumberField(qpoly(3, 0, 1))  # t^2 + 3
+
+
+def sieve_fields() -> list[NumberField]:
+    """Q(i), Q(sqrt2), Q(sqrt-3), a cubic with a non-integral defining
+    polynomial, and the quartic that flatten gives for the reciprocal unit
+    x^4 + 3x^3 + 3x + 1 over Q."""
+    return [
+        gaussian_field(),
+        sqrt2_field(),
+        sqrtm3_field(),
+        NumberField(qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1)),
+        flatten(QQ, qpoly(1, 3, 0, 3, 1)).field,
+    ]
 
 
 def cyclotomic(n: int) -> Poly:
@@ -248,6 +265,35 @@ def pth_root_reference(L: NumberField, a: NFElement, n: int) -> NFElement | None
     f = Poly([-a] + [L.zero] * (n - 1) + [L.one])
     _, factors = factor_over_K(L, f)
     return next((-(w.coeffs[0]) for w, _ in factors if w.degree == 1), None)
+
+
+def height_prime_bound_reference(L: NumberField, a: NFElement) -> int:
+    """The height bound on the power test's primes, which every root had
+    before non-units took theirs from the end coefficients and which
+    units keep: ceil(h(a) / h_min) for an a of L that is no root of
+    unity, h(a) the certified upper bound from
+    mahler_measure_upper and h_min a floor on the height of any
+    non-torsion beta of L whose p-th power could be a, whose degree is a
+    multiple of deg(a) dividing [L:Q]: log 2 for degree 1, the
+    golden-ratio minimum for degree 2, Voutier's floor for an even degree
+    when a is reciprocal and Smyth's nonreciprocal minimum otherwise.
+    Every constant is rounded down, so the bound rounds up."""
+    ints = _to_primitive_int(minimal_polynomial(a))
+    deg_a = len(ints) - 1
+    reciprocal = ints[::-1] in (ints, [-c for c in ints])
+    floors = []
+    for d in range(deg_a, L.degree + 1, deg_a):
+        if L.degree % d:
+            continue
+        if d == 1:
+            floors.append(0.6931)
+        elif d == 2:
+            floors.append(0.2406)
+        elif d % 2 == 1 or not reciprocal:
+            floors.append(0.2811 / d)
+        else:
+            floors.append((math.log(math.log(d)) / math.log(d)) ** 3 / (4 * d) * (1 - 1e-9))
+    return max(1, math.ceil(mahler_measure_upper(ints) / deg_a / min(floors)))
 
 
 def residue_sieve_reference(L: NumberField, a: NFElement, n: int) -> bool:

@@ -129,25 +129,39 @@ def test_reduct_rank_answers_past_the_hereditary_budget(monkeypatch):
         )
     monkeypatch.delenv("QRANK_MAX_DEGREE")
 
-    # x - (3+4i) over Q(i): the height bound needs primes up to 7, past a
-    # prime cap of 1; 3+4i = (2+i)**2 gives [2, 2] at n = 4 and [3, 3] at 6
+    # the prime cap bounds only units: x - (3+2*sqrt2) over Q(sqrt2) has a
+    # unit root, whose height bound needs primes up to 4, past a prime cap
+    # of 1; 3+2*sqrt2 = (1+sqrt2)**2 gives [2, 2] at n = 4 and [3, 3] at 6
     monkeypatch.setenv("QRANK_MAX_PRIME", "1")
-    gaussian = {"min_poly": {"coeffs": ["1", "0", "1"]}}
-    P = {"coeffs": [["-3", "-4"], "1"]}
-    report, code = run_task("hereditary", {"field": gaussian, "poly": P})
+    sqrt2 = {"min_poly": {"coeffs": ["-2", "0", "1"]}}
+    P = {"coeffs": [["-3", "-2"], "1"]}
+    report, code = run_task("hereditary", {"field": sqrt2, "poly": P})
     assert code == EXIT_BUDGET
-    assert report["error"] == "power test needs primes up to 7, cap is 1"
-    g = json_to_presentation({"ring": gaussian, "char_poly": P})
+    assert report["error"] == "power test needs primes up to 4, cap is 1"
+    g = json_to_presentation({"ring": sqrt2, "char_poly": P})
     degrees = _record_factor_over_K(monkeypatch)
     for n, spectrum in ((4, [2, 2]), (6, [3, 3])):
         degrees.clear()
         report, code = run_task(
-            "reduct-rank", {"ring": gaussian, "char_poly": P, "n": n}
+            "reduct-rank", {"ring": sqrt2, "char_poly": P, "n": n}
         )
         assert code == EXIT_OK
         assert report["result"]["degree_spectrum"] == spectrum
         assert n not in degrees  # P(x**n) is never factored
         assert spectrum == reduct_spectrum_reference(g.ring, g.char_poly, n)
+
+    # the non-unit 3+4i = (2+i)**2 takes its primes from the end
+    # coefficients of x**2 - 6x + 25, so it answers under the same cap
+    gaussian = {"min_poly": {"coeffs": ["1", "0", "1"]}}
+    report, code = run_task(
+        "hereditary", {"field": gaussian, "poly": {"coeffs": [["-3", "-4"], "1"]}}
+    )
+    assert code == EXIT_OK
+    assert report["result"]["N"] == 2
+    assert report["result"]["factors"] == [
+        {"coeffs": [["-2", "-1"], ["1", "0"]]},
+        {"coeffs": [["2", "1"], ["1", "0"]]},
+    ]
 
 
 def test_reducible_input_errors_name_no_python_objects():

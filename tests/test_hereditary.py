@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -10,13 +11,19 @@ import pytest
 
 from helpers import (
     cyclotomic,
+    element_norm_reference,
     gaussian_field,
+    height_prime_bound_reference,
+    pth_root_reference,
     qpoly,
     random_irreducible,
+    residue_sieve_reference,
+    sieve_fields,
     sqrt2_field,
     sqrtm3_field,
 )
-from qrank import hereditary, poly
+from qrank import hereditary, numfield, poly
+from qrank.arith import factor_integer, primes_upto, rational_nth_root
 from qrank.errors import (
     BudgetExceeded,
     NotIrreducible,
@@ -272,14 +279,19 @@ def _expire(signum, frame):
 
 def test_capelli_certificate_degree_budget():
     # 2**257 is a 257-th power, so the witnessed split is that of
-    # x**257 - 2**257, of degree 257, past the default cap of 256
+    # x**257 - 2**257, of degree 257, past the default cap of 256.  The
+    # prime cap bounds only units: 3**257 * i = (3i)**257 over Q(i) is a
+    # non-unit with e = 514, whose primes 2 and 257 need no cap to meet
+    # the same degree cap
+    G = gaussian_field()
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(30)
     try:
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match=r"^degree 257 \(1 \* 257\) is past the cap 256$"):
-            capelli_certificate(QQ, qpoly(-(2**257), 1))
-        assert time.perf_counter() - start < 5.0
+        for K, alpha in ((QQ, QQ.from_rational(2**257)), (G, G.element([0, 3**257]))):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceeded, match=r"^degree 257 \(1 \* 257\) is past the cap 256$"):
+                capelli_certificate(K, K.poly([-alpha, 1]))
+            assert time.perf_counter() - start < 5.0
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -471,6 +483,71 @@ def test_rational_root_worklist_aimed_at_n(r, n, N):
         # -4 is no square and 4 does not divide 2: x**2 + 4 is irreducible
         (cert,) = hf.certificates
         assert (cert.prime_bound, cert.primes_tested) == (2, (2,))
+
+
+def _end_exponent(a: NFElement) -> int:
+    """e of the power test's prime rule, the ends of a's primitive
+    integer minimal polynomial factored: k = [L:Q(a)] times the gcd of
+    the exponents in every end other than +-1, 0 for a unit."""
+    ints = numfield._to_primitive_int(minimal_polynomial(a))
+    k = a.field.degree // (len(ints) - 1)
+    ends = (factor_integer(abs(c)).values() for c in (ints[0], ints[-1]))
+    return k * math.gcd(*(v for exponents in ends for v in exponents))
+
+
+def _first_obstruction_reference(L, a) -> Obstruction | None:
+    """The obstruction a scan over every prime up to the old height bound
+    finds: the first p at which pth_root_reference finds a p-th root of a
+    in L, else minus-four when it finds a fourth root of -a/4.  A prime
+    whose norm test or residue_sieve_reference, both exact, rules out a
+    root is not factored."""
+    norm = element_norm_reference(a)
+    for p in primes_upto(height_prime_bound_reference(L, a)):
+        if norm < 0 and p == 2 or rational_nth_root(abs(norm), p) is None:
+            continue
+        if not residue_sieve_reference(L, a, p) and pth_root_reference(L, a, p) is not None:
+            return Obstruction.pth_power(p)
+    if pth_root_reference(L, a * Fraction(-1, 4), 4) is not None:
+        return Obstruction.minus_four()
+    return None
+
+
+def test_nonunit_primes_divide_the_end_exponent():
+    # a non-unit is a p-th power only for p dividing e, and the scan over
+    # those primes finds the obstruction that the old scan over every
+    # prime up to the height bound found; x - 3 over Q(i) has
+    # mp = x - 3 and k = 2, so e = 2 where the height bound listed 2, 3, 5
+    G = gaussian_field()
+    assert hereditary._power_test(G, G.poly([-3, 1])).primes_tested == (2,)
+    rng = random.Random(26)
+    cases = [(QQ, random_irreducible(rng, 3, 30)) for _ in range(10)]
+    for L in sieve_fields():
+
+        def draw(h):
+            return L.element([Fraction(rng.randint(-h, h), rng.randint(1, 3)) for _ in range(L.degree)])
+
+        alphas = [draw(6), draw(6), draw(2) ** 4 * -4]
+        alphas += [draw(2) ** p for p in (2, 3, 5, 7)]
+        alphas += [L.from_rational(Fraction(rng.randint(-40, 40), rng.randint(1, 9))) for _ in range(2)]
+        alphas.append(L.from_rational(Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 7])) ** rng.choice([2, 3])))
+        for a in alphas:
+            if not a.is_zero():
+                cases.append((L, L.poly([-a, 1])))
+                if L.degree > 1 and not a.is_rational():
+                    cases.append((QQ, minimal_polynomial(a)))
+    kinds = collections.Counter()
+    for K, Q in cases:
+        ext = flatten(K, Q)
+        e = _end_exponent(ext.alpha)
+        if e == 0:
+            continue  # a unit keeps the height bound
+        cert = hereditary._power_test(K, Q)
+        assert cert.prime_bound == e, (K, Q)
+        assert all(e % p == 0 for p in cert.primes_tested), (K, Q)
+        want = _first_obstruction_reference(ext.field, ext.alpha)
+        assert cert.obstruction == want, (K, Q)
+        kinds[want and (want.kind, want.p)] += 1
+    assert set(kinds) == {None, ("minus_four", None), *(("pth_power", p) for p in (2, 3, 5, 7))}
 
 
 def test_cyclotomics_detected():

@@ -23,6 +23,7 @@ from helpers import (
     squarefree_decomposition_reference,
     random_irreducible,
     roots_in,
+    sieve_fields,
     sqrt2_field,
     sqrt3_field,
     sqrtm3_field,
@@ -105,7 +106,7 @@ def test_element_constructors_take_only_exact_scalars():
 
 
 def _differential_fields():
-    return _sieve_fields() + [
+    return sieve_fields() + [
         NumberField(qpoly(2, 0, 1, 1)),  # t^3 + t^2 + 2, as in test_field_axioms_random
         NumberField(qpoly(Fraction(-1, 2), 0, 1)),  # t^2 - 1/2
     ]
@@ -971,19 +972,6 @@ def test_in_minus4_fourth_powers_examples():
         in_minus4_fourth_powers(QQ, QQ.zero)
 
 
-def _sieve_fields():
-    """Q(i), Q(sqrt2), Q(sqrt-3), a cubic with a non-integral defining
-    polynomial, and the quartic that flatten gives for the reciprocal unit
-    x^4 + 3x^3 + 3x + 1 over Q."""
-    return [
-        gaussian_field(),
-        sqrt2_field(),
-        sqrtm3_field(),
-        NumberField(qpoly(Fraction(-1, 3), Fraction(1, 2), 0, 1)),
-        flatten(QQ, qpoly(1, 3, 0, 3, 1)).field,
-    ]
-
-
 def _nonintegral(rng, L):
     while True:
         e = L.element(
@@ -994,7 +982,7 @@ def _nonintegral(rng, L):
 
 
 def _sieve_units(fields):
-    """A unit of each of _sieve_fields(), None for the cubic."""
+    """A unit of each of sieve_fields(), None for the cubic."""
     return [
         fields[0].gen,
         fields[1].gen + 1,
@@ -1006,7 +994,7 @@ def _sieve_units(fields):
 
 def test_residue_sieve_never_rejects_true_powers():
     rng = random.Random(31)
-    for L in _sieve_fields():
+    for L in sieve_fields():
         for p in (2, 3, 5, 7):
             beta = _nonintegral(rng, L)
             a = beta**p
@@ -1032,7 +1020,7 @@ def test_residue_sieve_matches_root_by_root_reference():
     # root r found by trying residues, with the same budgets, also over a
     # field whose m is not squarefree mod 3
     rng = random.Random(33)
-    fields = _sieve_fields()
+    fields = sieve_fields()
     cubic = _cubic_with_double_root_mod_3()
     for L, u in zip([*fields, cubic], [*_sieve_units(fields), None]):
         elements = [_nonintegral(rng, L) for _ in range(3)]
@@ -1062,7 +1050,7 @@ def _cubic_with_double_root_mod_3():
 def test_simple_roots_both_routes_agree(monkeypatch):
     # trying every residue against gcd(m, x**l - x) / gcd(., m') split by
     # quadratic characters, for every l below 2**11
-    for L in [*_sieve_fields(), _cubic_with_double_root_mod_3()]:
+    for L in [*sieve_fields(), _cubic_with_double_root_mod_3()]:
         for ell in primes_upto(2**11):
             monkeypatch.setattr(numfield, "_ROOT_SCAN", 2**11 * L.degree)
             by_residues = numfield._simple_roots(L, ell)
@@ -1109,7 +1097,7 @@ def test_power_tests_match_exact_reference():
     # sieve-then-exact against exact-only on units, non-units and true
     # powers: same verdicts, and every root returned is one
     rng = random.Random(32)
-    fields = _sieve_fields()
+    fields = sieve_fields()
     for L, u in zip(fields, _sieve_units(fields)):
         elements = [_nonintegral(rng, L) for _ in range(2)]
         integral = [rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(L.degree - 1)]
@@ -1155,7 +1143,7 @@ def test_lifted_roots_match_factoring_reference(monkeypatch):
     # Q(3**(1/3)), where m mod l has three distinct roots for no l below
     # 54, so that every call there falls back to factoring
     rng = random.Random(35)
-    fields = _sieve_fields()
+    fields = sieve_fields()
     cube_root_3 = NumberField(qpoly(-3, 0, 0, 1))
     assert all(len(roots) < 3 for _, roots in cube_root_3._certificate_primes())
     routes = collections.Counter()
