@@ -7,9 +7,8 @@ polynomials over GF(p) are the same lists with every entry in [0, p),
 so zz_strip serves both and no coefficient size is bounded.
 zz_divmod is the engine's one division in Z[x], and its remainder is
 empty exactly when the divisor divides: besides the Hensel steps,
-Zassenhaus proves its candidates with it, numfield.norm_poly divides by
-its Bareiss pivots and hereditary.has_root_of_unity_root by the
-cyclotomic polynomials.
+Zassenhaus proves its candidates with it and numfield.norm_poly divides
+by its Bareiss pivots.
 Zassenhaus follows von zur Gathen and Gerhard, Modern Computer Algebra,
 section 15.6.  The prime scan keeps the Berlekamp kernel of the best
 prime so far, and f is split at the chosen prime with that kernel, so no
@@ -80,8 +79,8 @@ def zz_mul(f: list[int], g: list[int]) -> list[int]:
 def zz_divmod(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of f by h in Z[x]; the remainder is empty
     exactly when h divides f.  Each step divides the top coefficient by
-    lc(h), which is exact when h is monic (Hensel steps, the cyclotomic
-    test) or when h divides f (the Bareiss pivots of numfield.norm_poly).
+    lc(h), which is exact when h is monic (Hensel steps) or when h
+    divides f (the Bareiss pivots of numfield.norm_poly).
     A step that is not exact proves that h does not divide f: the
     division stops there and returns the partial quotient and the
     remainder reached so far, which is nonzero and of degree >= deg h."""

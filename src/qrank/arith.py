@@ -170,16 +170,6 @@ def perfect_power_exponent(x: Fraction | int) -> int:
     return e
 
 
-def totients_upto(n: int) -> list[int]:
-    """Euler's phi of 0..n by sieve (phi(0) is listed as 0)."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched, so p is prime
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:

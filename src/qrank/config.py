@@ -7,8 +7,10 @@ irreducibility check; P itself, before its first factorization
 poly.substitute_power checks before it builds it (hereditary search,
 power test, prolongation, oracles, eigenvalue compatibility).  The
 hereditary worklist also bounds P(x**acc) before each split and before
-its lift.  Reduct ranks check deg P * n, though they build at most
-P(x**N) with N dividing n.  check_degree is the one place that reads it.
+its lift, and the power test bounds x**p - alpha and, before it factors
+that over L = K(alpha), its Trager norm of degree p * [L:Q].  Reduct
+ranks check deg P * n, though they build at most P(x**N) with N
+dividing n.  check_degree is the one place that reads it.
 QRANK_MAX_PRIME caps the height bound of the power-obstruction test in
 the hereditary search, which only a unit root needs; a non-unit tests
 only the primes dividing the exponent read off its minimal polynomial,

@@ -35,19 +35,12 @@ factored.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import config
-from ._intfactor import zz_divmod
-from .arith import (
-    perfect_power_exponent,
-    primes_upto,
-    rational_nth_root,
-    totients_upto,
-)
+from .arith import perfect_power_exponent, primes_upto, rational_nth_root
 from .errors import (
     BudgetExceeded,
     NotIrreducible,
@@ -76,15 +69,20 @@ _HALF_LOG_GOLDEN_DOWN = 0.2406  # degree-2 minimum: (1/2) log((1+sqrt5)/2)
 _LOG_SMYTH_DOWN = 0.2811  # log of the real root of x^3 - x - 1
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_ints(n: int) -> tuple[int, ...]:
-    """Phi_n over Z, lowest degree first: x**n - 1 divided exactly by
-    Phi_d for every proper divisor d of n."""
-    f = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            f = zz_divmod(f, _cyclotomic_ints(d))[0]
-    return tuple(f)
+def _orders(D: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every n with phi(n) <= D as (n, phi(n), the primes dividing n).
+    phi is multiplicative, so the orders are the products of prime powers
+    p**k, p <= D + 1, whose phi values multiply to at most D."""
+    orders = [(1, 1, ())]
+    for p in primes_upto(D + 1):
+        grown = []
+        for n, phi, primes in orders:
+            q, phi_q = p, p - 1
+            while phi * phi_q <= D:
+                grown.append((n * q, phi * phi_q, primes + (p,)))
+                q, phi_q = q * p, phi_q * p
+        orders += grown
+    return orders
 
 
 def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
@@ -96,25 +94,33 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
     root of sigma(P), then tau^-1(zeta) is a root of P for any
     automorphism tau of Q-bar extending sigma, and it is a root of unity
     of the same order.  So P has a root of unity of order n as a root
-    exactly when R does, and since Phi_n is irreducible over Q, exactly
-    when Phi_n divides R in Q[x].  By Gauss's lemma (Phi_n is monic and
-    primitive) that holds exactly when Phi_n divides the primitive integer
-    multiple f of R in Z[x], an exact integer long division.
+    exactly when the primitive integer multiple f of R has zeta_n as a
+    root, and an order n among the roots forces phi(n) <= D = deg f.
 
-    An order n among the roots forces phi(n) <= D = deg(P) * [K:Q] =
-    deg f, hence n <= 2 * D**2, which bounds the candidates.
+    Each such n is decided by folding f modulo x**n - 1 to r and
+    multiplying r by x**(n/p) - 1 for every prime p dividing n, modulo
+    x**n - 1: zeta_n is a root of f exactly when the product is zero.
+    Since x**n - 1 = prod_{d | n} Phi_d, Q[x]/(x**n - 1) splits as the
+    product of the fields Q(zeta_d), d | n (Lang, Algebra, VI section
+    3), and the product's component at d is
+    r(zeta_d) * prod_p (zeta_d**(n/p) - 1).  For d < n some prime p
+    divides n/d, so zeta_d**(n/p) = 1 and the component is zero.  For
+    d = n no factor zeta_n**(n/p) - 1 vanishes, so the component is
+    zero exactly when r(zeta_n) = f(zeta_n) = 0.
     """
     if P.is_zero():
         raise ZeroPolynomial("root-of-unity test on the zero polynomial")
     if P.degree <= 0:
         return False
     f = _to_primitive_int(norm_poly(K, P.monic()))
-    D = len(f) - 1
-    phi = totients_upto(2 * D * D)
-    for n in range(1, 2 * D * D + 1):
-        if phi[n] > D:
-            continue
-        if not zz_divmod(f, _cyclotomic_ints(n))[1]:
+    for n, _, primes in _orders(len(f) - 1):
+        r = [0] * n
+        for i, c in enumerate(f):
+            r[i % n] += c
+        for p in primes:
+            m = n // p
+            r = [r[i - m] - r[i] for i in range(n)]
+        if not any(r):
             return True
     return False
 

@@ -941,7 +941,8 @@ def _nth_root(L: NumberField, b: NFElement, n: int) -> NFElement | None:
     x**n - b is factored over L and a root is read off its first linear
     factor.  Neither route decides anything the other would decide
     differently, so the answer does not depend on which one ran.  The
-    degree cap holds n before either route.
+    degree cap holds n before either route, and the degree n * [L:Q] of
+    the Trager norm before the factoring.
     """
     if b.is_zero():
         raise ZeroElement("radical test needs a nonzero element")
@@ -951,6 +952,7 @@ def _nth_root(L: NumberField, b: NFElement, n: int) -> NFElement | None:
     roots = _lifted_roots(L, b, n)
     if roots is not None:
         return roots[0] if roots else None
+    config.check_degree(L.degree, n)
     _, factors = factor_over_K(L, substitute_power(Poly([-b, L.one]), n))
     return next((-(w.coeffs[0]) for w, _ in factors if w.degree == 1), None)
 

@@ -10,7 +10,6 @@ from qrank.arith import (
     is_prime,
     perfect_power_exponent,
     rational_nth_root,
-    totients_upto,
 )
 from qrank.errors import EvenRootOfNegative, NonPositive
 
@@ -73,10 +72,6 @@ def test_rational_nth_root_exact_on_perfect_powers(r, n):
     assert root**n == x
     if n % 2 == 0:
         assert root > 0
-
-
-def test_euler_phi_small():
-    assert totients_upto(10)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
 
 def test_perfect_power_exponent_known_values():

@@ -581,6 +581,27 @@ def test_power_test_radical_degree_budget():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_power_test_fallback_norm_degree_budget():
+    # alpha = 2**101 * (1+i) is a unit times (1+i)**203, 203 = 7 * 29, so
+    # the search reaches x**29 - beta over a field L of degree 12 that
+    # neither the sieve nor the lift settles; factoring it would take the
+    # Trager norm of degree 29 * 12, past the default cap of 256
+    c = str(-(2**101))
+    payload = {"field": {"min_poly": {"coeffs": ["1", "0", "1"]}}, "poly": {"coeffs": [[c, c], "1"]}}
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        start = time.perf_counter()
+        report, code = run_task("hereditary", payload)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_BUDGET
+        assert report["status"] == "budget_exceeded"
+        assert report["error"] == "degree 348 (12 * 29) is past the cap 256"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_degree_cap_is_checked_before_factoring_P(monkeypatch):
     # x**512 + 2x + 2 is Eisenstein at 2, hence irreducible; its degree is
     # past the default cap of 256, so it must be refused before anything

@@ -121,6 +121,48 @@ def test_root_of_unity_at_the_order_bound():
         assert has_root_of_unity_root(K, shifted) == _has_root_of_unity_reference(K, shifted)
 
 
+def test_orders_are_the_n_with_small_totient():
+    # phi counted by gcd and capped at 65, up to the classical bound
+    # n <= 2 * D**2
+    phi = [0] * 8193
+    for n in range(1, 8193):
+        for k in range(1, n + 1):
+            phi[n] += math.gcd(k, n) == 1
+            if phi[n] == 65:
+                break
+    for D in range(1, 65):
+        orders = hereditary._orders(D)
+        assert sorted(n for n, _, _ in orders) == [n for n in range(1, 2 * D * D + 1) if phi[n] <= D]
+        for n, phi_n, primes in orders:
+            assert phi_n == phi[n]
+            assert primes == tuple(p for p in primes_upto(n) if n % p == 0)
+    orders = hereditary._orders(256)
+    assert len(orders) == 505
+    assert max(n for n, _, _ in orders) == 1050
+
+
+def test_root_of_unity_at_large_orders():
+    # Phi_n from sympy, and Phi_n + 1, whose roots of unity are its
+    # common roots with its reciprocal Phi_n + x**D (n >= 2), that is,
+    # with x**D - 1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in [n for n in range(2, 200) if sympy.totient(n) <= 256] + [512, 840, 1050]:
+        phi_n = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        shifted = phi_n + 1
+        expected = sympy.gcd(shifted, sympy.Poly(x ** phi_n.degree() - 1, x)).degree() > 0
+        assert has_root_of_unity_root(QQ, qpoly(*reversed(phi_n.all_coeffs()))), n
+        assert has_root_of_unity_root(QQ, qpoly(*reversed(shifted.all_coeffs()))) == expected, n
+    # the roots of x**64 - i are primitive 256-th roots of unity; x**64 - 2i has none
+    Qi = gaussian_field()
+    for c, expected in ((Qi.gen, True), (2 * Qi.gen, False)):
+        assert has_root_of_unity_root(Qi, Poly([-c] + [Qi.zero] * 63 + [Qi.one])) == expected
+    # x**256 + 2x + 2 at the degree cap scans all 505 orders, with no cache
+    start = time.perf_counter()
+    assert not has_root_of_unity_root(QQ, qpoly(2, 2, *[0] * 254, 1))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_root_of_unity_over_extension():
     # cyclotomic factors that split over K
     Qi, Qw = gaussian_field(), sqrtm3_field()

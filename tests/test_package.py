@@ -150,10 +150,9 @@ def test_floating_point_only_sizes_prime_bounds():
     assert found == {}
 
 
-# A cache keyed by input outlives the request that filled it.  The one
-# allowed is the cyclotomic table, until root-of-unity detection stops
-# dividing by cyclotomic polynomials (ROADMAP item 3).
-_CACHES_ALLOWED = {("hereditary.py", "_cyclotomic_ints")}
+# A cache keyed by input outlives the request that filled it, so none is
+# allowed.
+_CACHES_ALLOWED = set()
 
 
 def _cached_functions(source: str) -> list[str]:
