@@ -502,7 +502,47 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
 
 
 def is_irreducible(K: NumberField, p: Poly) -> bool:
-    """Whether p is irreducible over K: one factor, multiplicity one."""
+    """Whether p is irreducible over K: one factor, multiplicity one.
+
+    A linear p is irreducible and a constant is not.  Otherwise the test
+    reads the norm N of the monic p, which is p itself over Q and
+    norm_poly(K, p) over K.  Trager's lemma (Trager 1976, "Algebraic
+    factoring and rational function integration"; Cohen, GTM 138,
+    section 3.6.2): when N is squarefree, p factors over K as N factors
+    over Q.  For an irreducible factor w of p with a root beta, N(w) is
+    a power of the minimal polynomial of beta over Q, and N is the
+    product of the N(w); a squarefree N makes each N(w) irreducible and
+    no two of them equal, so p and N have equally many irreducible
+    factors, each of multiplicity one.
+
+    So when _certified_squarefree proves N squarefree, the answer is
+    whether Zassenhaus returns one factor of the primitive integer
+    multiple f of N, the input that has_root_of_unity_root reads too.
+    The certificate never accepts a repeated root, and f mod l is a
+    unit times N mod l at the prime l that certified it, so for odd l
+    the Zassenhaus prime scan meets a usable prime at l or before.  For
+    l = 2, below the scan's first prime 3, the scan still skips only the
+    primes dividing lc(f) disc(f), and disc(f) is nonzero.
+
+    Every other p is counted from factor_over_K: a p whose norm the
+    certificate does not prove squarefree, which includes every p that
+    is not squarefree, and a rational p over K != Q, whose norm
+    p**[K:Q] is never squarefree, so it is not built.
+    """
+    if p.is_zero():
+        raise ZeroPolynomial("irreducibility test on the zero polynomial")
+    if p.degree < 2:
+        return p.degree == 1
+    if K.degree == 1:
+        norm = p
+    else:
+        p = K.poly(p.coeffs)
+        if all(c.is_rational() for c in p.coeffs):
+            norm = None
+        else:
+            norm = norm_poly(K, p.monic())
+    if norm is not None and _certified_squarefree(norm):
+        return len(zz.zz_factor_squarefree(_to_primitive_int(norm))) == 1
     _, factors = factor_over_K(K, p)
     return len(factors) == 1 and factors[0][1] == 1
 
@@ -677,7 +717,7 @@ def flatten(
     if Q.is_zero() or Q.degree < 1:
         raise NotIrreducible("need a nonconstant polynomial")
     Q = K.poly(Q.coeffs).monic()
-    if not trusted and Q.degree > 1 and not is_irreducible(K, Q):
+    if not trusted and not is_irreducible(K, Q):
         raise NotIrreducible("reducible over the base field")
     if Q.degree == 1:
         return FlattenedExtension(K, -Q.coeffs[0], 0)

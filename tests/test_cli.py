@@ -100,11 +100,12 @@ def test_reduct_rank_factors_once(monkeypatch):
         report, code = run_task("reduct-rank", payload)
         assert code == EXIT_OK
         assert report["result"]["degree_spectrum"] == spectrum
-        # validation factors P; the one square obstruction at n splits
-        # x**2 - b through the root the power test proved, as
-        # (x - beta)(x + beta) with nothing factored, and the roots +-3
-        # and +-64 are no p-th powers for p dividing n/2
-        assert degrees == [1]
+        # validation factors nothing, as a linear P is irreducible; the
+        # one square obstruction at n splits x**2 - b through the root
+        # the power test proved, as (x - beta)(x + beta) with nothing
+        # factored, and the roots +-3 and +-64 are no p-th powers for p
+        # dividing n/2
+        assert degrees == []
 
 
 def test_reduct_rank_answers_past_the_hereditary_budget(monkeypatch):

@@ -456,6 +456,97 @@ def test_factor_over_K_takes_no_yun_gcd_on_squarefree_input(monkeypatch):
     assert "squarefree_decomposition" in calls
 
 
+def _factor_verdict(K, p):
+    _, factors = factor_over_K(K, p)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def _irreducibility_cases(rng, K):
+    """Random monic P of degree 1-4 (1-2 past a quadratic K) and -2/3
+    times it, products Q*R and Q**2, x*Q, a linear P and a constant P."""
+    top = 4 if K.degree <= 2 else 2
+    x = K.poly([0, 1]) if K.degree > 1 else qpoly(0, 1)
+    const = K.poly([5]) if K.degree > 1 else qpoly(5)
+    cases = [_random_monic(rng, K, 1), const]
+    for _ in range(4):
+        q = _random_monic(rng, K, rng.randint(1, top))
+        r = _random_monic(rng, K, rng.randint(1, top))
+        cases += [q, q.scale(Fraction(-2, 3)), q * r, q * q, x * q]
+    return cases
+
+
+def _rational_cases(rng):
+    """Rational P: x**2 + 1, x**2 - 2, x**4 + 1, x**3 - 2 and random
+    monic quadratics and cubics with small integer coefficients."""
+    cases = [qpoly(1, 0, 1), qpoly(-2, 0, 1), qpoly(1, 0, 0, 0, 1), qpoly(-2, 0, 0, 1)]
+    for _ in range(6):
+        cases.append(qpoly(*[rng.randint(-3, 3) for _ in range(rng.randint(2, 3))], 1))
+    return cases
+
+
+def test_is_irreducible_matches_factor_over_K(monkeypatch):
+    # the certified norm's verdict equals the full factorization's on
+    # random, reducible, non-squarefree, linear and constant P; rational P
+    # over a quadratic K take the factor_over_K fallback
+    rng = random.Random(28)
+    factored = _callers(monkeypatch, numfield, "factor_over_K")
+    for K in [QQ, *sieve_fields()]:
+        verdicts = collections.Counter()
+        for p in _irreducibility_cases(rng, K):
+            del factored[:]
+            got = is_irreducible(K, p)
+            assert got == _factor_verdict(K, p), (K, p)
+            verdicts[got, bool(factored)] += 1
+        with pytest.raises(ZeroPolynomial):
+            is_irreducible(K, Poly(()))
+        # both verdicts, and irreducible P decided without factoring
+        assert verdicts[True, False] > 0
+        assert verdicts[False, False] + verdicts[False, True] > 0
+    for K in (gaussian_field(), sqrt2_field()):
+        verdicts = set()
+        for p in _rational_cases(rng):
+            del factored[:]
+            got = is_irreducible(K, p)
+            assert factored == ["is_irreducible"]
+            assert got == _factor_verdict(K, p), (K, p)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def test_is_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(29)
+    for K, t in ((QQ, sympy.S.One), (gaussian_field(), sympy.I)):
+        extension = {"extension": t} if K.degree > 1 else {}
+        verdicts = set()
+        for p in _irreducibility_cases(rng, K) + _rational_cases(rng):
+            expr = sum(
+                sympy.Rational(a) * t**j * x**i
+                for i, c in enumerate(p.coeffs)
+                for j, a in enumerate(c.coords if isinstance(c, NFElement) else [c])
+            )
+            _, ref = sympy.factor_list(sympy.expand(expr), x, **extension)
+            expected = len(ref) == 1 and ref[0][1] == 1
+            assert is_irreducible(K, p) == expected, (K, p)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def test_is_irreducible_factors_nothing_on_a_certified_norm(monkeypatch):
+    Qi = gaussian_field()
+    i = Qi.gen
+    factored = _callers(monkeypatch, numfield, "factor_over_K")
+    zassenhaus = _callers(monkeypatch, _intfactor, "zz_factor_squarefree")
+    # x**2 - i has the squarefree, irreducible norm x**4 + 1
+    assert is_irreducible(Qi, Poly([-i, Qi.zero, Qi.one]))
+    assert factored == [] and zassenhaus == ["is_irreducible"]
+    del zassenhaus[:]
+    assert is_irreducible(Qi, Poly([-i, Qi.one]))
+    assert is_irreducible(QQ, qpoly(-2, 1))
+    assert factored == [] and zassenhaus == []
+
+
 def test_divrem_by_monic_needs_no_inverse(monkeypatch):
     Q2 = sqrt2_field()
     s = Q2.gen
