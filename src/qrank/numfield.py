@@ -504,47 +504,32 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
 def is_irreducible(K: NumberField, p: Poly) -> bool:
     """Whether p is irreducible over K: one factor, multiplicity one.
 
-    A linear p is irreducible and a constant is not.  Otherwise the test
-    reads the norm N of the monic p, which is p itself over Q and
-    norm_poly(K, p) over K.  Trager's lemma (Trager 1976, "Algebraic
-    factoring and rational function integration"; Cohen, GTM 138,
-    section 3.6.2): when N is squarefree, p factors over K as N factors
-    over Q.  For an irreducible factor w of p with a root beta, N(w) is
-    a power of the minimal polynomial of beta over Q, and N is the
-    product of the N(w); a squarefree N makes each N(w) irreducible and
-    no two of them equal, so p and N have equally many irreducible
-    factors, each of multiplicity one.
-
-    So when _certified_squarefree proves N squarefree, the answer is
-    whether Zassenhaus returns one factor of the primitive integer
-    multiple f of N, the input that has_root_of_unity_root reads too.
-    The certificate never accepts a repeated root, and f mod l is a
-    unit times N mod l at the prime l that certified it, so for odd l
-    the Zassenhaus prime scan meets a usable prime at l or before.  For
-    l = 2, below the scan's first prime 3, the scan still skips only the
-    primes dividing lc(f) disc(f), and disc(f) is nonzero.
-
-    Every other p is counted from factor_over_K: a p whose norm the
-    certificate does not prove squarefree, which includes every p that
-    is not squarefree, and a rational p over K != Q, whose norm
-    p**[K:Q] is never squarefree, so it is not built.
+    A linear p is irreducible and a constant is not.  Otherwise
+    _trager_shift finds a shift s for which the norm N of the monic
+    p(x - s*theta) is squarefree, or proves p not squarefree.  Trager's
+    lemma (Trager 1976, "Algebraic factoring and rational function
+    integration"; Cohen, GTM 138, section 3.6.2): when N is squarefree,
+    p factors over K as N factors over Q.  For an irreducible factor w
+    of the shifted p with a root beta, N(w) is a power of the minimal
+    polynomial of beta over Q, and N is the product of the N(w); a
+    squarefree N makes each N(w) irreducible and no two of them equal,
+    so p and N have equally many irreducible factors, each of
+    multiplicity one.  So p is irreducible exactly when Zassenhaus
+    returns one factor of the primitive integer multiple f of N.  Its
+    prime scan skips only the primes dividing lc(f) disc(f), and disc(f)
+    is nonzero because N has no repeated root.
     """
     if p.is_zero():
         raise ZeroPolynomial("irreducibility test on the zero polynomial")
     if p.degree < 2:
         return p.degree == 1
-    if K.degree == 1:
-        norm = p
-    else:
+    if K.degree > 1:
         p = K.poly(p.coeffs)
-        if all(c.is_rational() for c in p.coeffs):
-            norm = None
-        else:
-            norm = norm_poly(K, p.monic())
-    if norm is not None and _certified_squarefree(norm):
-        return len(zz.zz_factor_squarefree(_to_primitive_int(norm))) == 1
-    _, factors = factor_over_K(K, p)
-    return len(factors) == 1 and factors[0][1] == 1
+    try:
+        norm = _trager_shift(K, p.monic())[2]
+    except NotIrreducible:
+        return False
+    return len(zz.zz_factor_squarefree(_to_primitive_int(norm))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -638,29 +623,34 @@ def factor_over_K(
 
 def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
     """Smallest s >= 0 for which the norm of g shifted by s*theta is
-    squarefree: returns (s, shifted g, norm).
+    squarefree: returns (s, shifted g, norm).  Over Q the norm at s = 0
+    is g itself.
 
     The norm of g(x - s*theta) has the n*d roots beta + s*theta_j, for
     the d conjugates theta_j of theta and the roots beta of the matching
     conjugate of g (n = deg g, d = [K:Q]).  For squarefree g, two of them
     coincide only when beta + s*theta_j = beta' + s*theta_k with j != k,
-    which fixes s, so at most C(n*d, 2) shifts are bad.  Past that many,
-    g is not squarefree and NotIrreducible is raised.  A norm is accepted
-    when _certified_squarefree proves it squarefree, else by an exact gcd.
-    When K != Q and every coefficient of g is rational, the search
-    starts at s = 1.
+    which fixes s, so at most C(n*d, 2) shifts are bad.  A norm is
+    accepted when _certified_squarefree proves it squarefree, else by an
+    exact gcd.  When the first shift fails, one gcd(g, g') tells a bad
+    shift from a repeated factor of g, and a g that is not squarefree
+    raises NotIrreducible at once.  Over Q the first failure is final,
+    since the norm is g.  When K != Q and every coefficient of g is
+    rational, the search starts at s = 1.
     """
     # rational g has norm g**[K:Q] at s = 0, which is never squarefree
     rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
     first = 1 if rational else 0
     for s in range(first, math.comb(g.degree * K.degree, 2) + 1):
         gs = g if s == 0 else g.shift(K.gen * -s)
-        norm = norm_poly(K, gs)
+        norm = norm_poly(K, gs) if K.degree > 1 else gs
         if (
             _certified_squarefree(norm)
             or gcd(norm, norm.derivative()).degree == 0
         ):
             return s, gs, norm
+        if s == first and (K.degree == 1 or gcd(g, g.derivative()).degree > 0):
+            break
     raise NotIrreducible(f"{g!r} is not squarefree")
 
 

@@ -476,18 +476,20 @@ def _irreducibility_cases(rng, K):
 
 
 def _rational_cases(rng):
-    """Rational P: x**2 + 1, x**2 - 2, x**4 + 1, x**3 - 2 and random
-    monic quadratics and cubics with small integer coefficients."""
+    """Rational P: x**2 + 1, x**2 - 2, x**4 + 1, x**3 - 2, the repeated
+    (x**2 + 1)**2, (x**2 - 2)**2 and (x - 1)**2 (x + 2), and random monic
+    quadratics and cubics with small integer coefficients."""
     cases = [qpoly(1, 0, 1), qpoly(-2, 0, 1), qpoly(1, 0, 0, 0, 1), qpoly(-2, 0, 0, 1)]
+    cases += [qpoly(1, 0, 2, 0, 1), qpoly(4, 0, -4, 0, 1), qpoly(2, -3, 0, 1)]
     for _ in range(6):
         cases.append(qpoly(*[rng.randint(-3, 3) for _ in range(rng.randint(2, 3))], 1))
     return cases
 
 
 def test_is_irreducible_matches_factor_over_K(monkeypatch):
-    # the certified norm's verdict equals the full factorization's on
+    # the Trager norm's verdict equals the full factorization's on
     # random, reducible, non-squarefree, linear and constant P; rational P
-    # over a quadratic K take the factor_over_K fallback
+    # over a quadratic K, repeated ones among them, are not factored
     rng = random.Random(28)
     factored = _callers(monkeypatch, numfield, "factor_over_K")
     for K in [QQ, *sieve_fields()]:
@@ -507,7 +509,7 @@ def test_is_irreducible_matches_factor_over_K(monkeypatch):
         for p in _rational_cases(rng):
             del factored[:]
             got = is_irreducible(K, p)
-            assert factored == ["is_irreducible"]
+            assert factored == []
             assert got == _factor_verdict(K, p), (K, p)
             verdicts.add(got)
         assert verdicts == {True, False}
@@ -541,10 +543,35 @@ def test_is_irreducible_factors_nothing_on_a_certified_norm(monkeypatch):
     # x**2 - i has the squarefree, irreducible norm x**4 + 1
     assert is_irreducible(Qi, Poly([-i, Qi.zero, Qi.one]))
     assert factored == [] and zassenhaus == ["is_irreducible"]
+    # rational P over Q(i): the norm at the shift s = 1, one Zassenhaus run
+    rational = [(qpoly(-2, 0, 1), True), (qpoly(1, 0, 1), False), (qpoly(-2, 0, 0, 1), True)]
+    for p, expected in rational:
+        del zassenhaus[:]
+        assert is_irreducible(Qi, p) == expected, p
+        assert factored == [] and zassenhaus == ["is_irreducible"]
     del zassenhaus[:]
     assert is_irreducible(Qi, Poly([-i, Qi.one]))
     assert is_irreducible(QQ, qpoly(-2, 1))
     assert factored == [] and zassenhaus == []
+
+
+def test_trager_shift_stops_at_a_repeated_factor(monkeypatch):
+    # a g that is not squarefree has no squarefree shifted norm: after the
+    # first shift fails, one gcd(g, g') proves it, with no second norm
+    norms = _callers(monkeypatch, numfield, "norm_poly")
+    for K in (QQ, gaussian_field(), sqrt2_field()):
+        cases = [qpoly(1, 0, 2, 0, 1), qpoly(2, -3, 0, 1)]  # (x^2+1)^2, (x-1)^2 (x+2)
+        if K.degree > 1:
+            cases = [K.poly(g.coeffs) for g in cases]
+        if K.min_poly == qpoly(1, 0, 1):
+            w = Poly([-K.gen, K.one])
+            cases.append(w * w * K.poly([2, 1]))  # (x - i)^2 (x + 2)
+        for g in cases:
+            del norms[:]
+            with pytest.raises(NotIrreducible):
+                numfield._trager_shift(K, g)
+            assert len(norms) == (K.degree > 1), (K, g)
+            assert not is_irreducible(K, g), (K, g)
 
 
 def test_divrem_by_monic_needs_no_inverse(monkeypatch):
