@@ -10,9 +10,14 @@ empty exactly when the divisor divides: besides the Hensel steps,
 Zassenhaus proves its candidates with it and numfield.norm_poly divides
 by its Bareiss pivots.
 Zassenhaus follows von zur Gathen and Gerhard, Modern Computer Algebra,
-section 15.6.  The prime scan keeps the Berlekamp kernel of the best
-prime so far, and f is split at the chosen prime with that kernel, so no
-kernel is built twice.  The lift stops at the half-degree bound: by
+section 15.6.  Its prime scan, zz_squarefree_primes, is also the
+engine's squarefree proof on integer lists: a prime p not dividing
+lc(f) at which f mod p is squarefree proves disc f != 0, so f need not
+be known squarefree.  Within the bounds `within` the scan may give up,
+which proves nothing and leaves the exact gcd to the caller in
+numfield.  The scan keeps the Berlekamp kernel of the best prime so
+far, and f is split at the chosen prime with that kernel, so no kernel
+is built twice.  The lift stops at the half-degree bound: by
 Mignotte's bound a factor h of degree at most n/2 has
 ||h||_1 <= 2**deg(h) * ||f||_2, and every larger factor is the cofactor
 of one that small.  So each candidate subset builds only its side of
@@ -472,12 +477,50 @@ def _test_pl(fc: int, q: int, pl: int) -> bool:
     return fc % q == 0
 
 
-def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree f with lc(f) > 0.
+def zz_squarefree_primes(f: list[int], within: tuple[int, int] | None = None):
+    """Yield (p, f mod p made monic) for each odd prime p < _MAX_P, in
+    order, that does not divide lc(f) and at which f mod p is squarefree.
+
+    Each such p proves f squarefree (Trager 1976; von zur Gathen and
+    Gerhard, section 15.6): Res(f, f') = +-lc(f) disc(f) is an integer
+    polynomial in the coefficients of f, and as p does not divide lc(f),
+    f mod p keeps its degree and Res(f, f') mod p is a power of lc(f)
+    times Res(f mod p, (f mod p)'), nonzero since gcd(f mod p, (f mod p)')
+    = 1.  So disc f != 0.  With within = (k, m), the scan gives up before
+    its first yield once it has passed k primes, or m primes not dividing
+    lc(f) at which f mod p has a repeated factor; giving up proves nothing.
+    """
+    b = f[-1]
+    primes, misses = within or (_MAX_P, _MAX_P)
+    for p in filter(is_prime, range(3, _MAX_P, 2)):
+        if not primes or not misses:
+            return
+        primes -= 1
+        if b % p == 0:
+            continue
+        F = gf_from_zz(f, p)
+        if not gf_is_squarefree(F, p):
+            misses -= 1
+            continue
+        # f is proved squarefree: the bounds no longer apply
+        primes = misses = _MAX_P
+        yield p, gf_monic(F, p)
+
+
+def zz_factor_squarefree(
+    f: list[int], within: tuple[int, int] | None = None
+) -> list[list[int]] | None:
+    """Irreducible factors of a primitive f with lc(f) > 0, when f is
+    squarefree.
 
     Zassenhaus: factor mod a good small prime, Hensel lift past twice
     the half-degree bound, recombine subsets exhaustively, at most
-    _MAX_SUBSETS of them, each proved by exact division.
+    _MAX_SUBSETS of them, each proved by exact division.  The primes come
+    from zz_squarefree_primes, so the first one proves f squarefree.  A
+    linear f needs no proof.  With within, None is returned, proving
+    nothing, when the scan gives up within those bounds.  Without, a
+    scan that finds no usable prime below _MAX_P, as for every f that is
+    not squarefree, raises BudgetExceeded.
     """
     f = zz_strip(list(f))
     n = zz_degree(f)
@@ -499,15 +542,9 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     # The kernel of the best prime so far is kept for the split
     best = None
     scanned = 0
-    for p in filter(is_prime, range(3, _MAX_P, 2)):
+    for p, F in zz_squarefree_primes(f, within):
         if scanned and p > 300:
             break
-        if b % p == 0:
-            continue
-        F = gf_from_zz(f, p)
-        if not gf_is_squarefree(F, p):
-            continue
-        F = gf_monic(F, p)
         basis = _berlekamp_kernel(F, p)
         count = len(basis)
         if count == 1:
@@ -520,6 +557,8 @@ def zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         if scanned >= 5:
             break
     if best is None:
+        if within:
+            return None
         raise BudgetExceeded(f"no usable prime below {_MAX_P} for factoring")
     _, p, F, basis = best
 

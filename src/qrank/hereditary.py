@@ -112,7 +112,7 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
         raise ZeroPolynomial("root-of-unity test on the zero polynomial")
     if P.degree <= 0:
         return False
-    f = _to_primitive_int(norm_poly(K, P.monic()))
+    f = _to_primitive_int(P if K.degree == 1 else norm_poly(K, P.monic()))
     for n, _, primes in _orders(len(f) - 1):
         r = [0] * n
         for i, c in enumerate(f):

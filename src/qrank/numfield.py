@@ -391,20 +391,29 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-# Work bounds of the squarefree certificate: primes l scanned per field,
-# and usable (l, r) pairs tried per call, so that a failure stays cheap
+# Work bounds of a squarefree proof by primes, here and in the Trager
+# shift's Zassenhaus scan: primes l scanned, and usable (l, r) pairs
+# tried per call, so that a failure stays cheap
 _CERT_PRIMES = 16
 _CERT_PAIRS = 6
 
 
 def _certified_squarefree(f: Poly) -> bool:
-    """True only when a degree-one prime of K proves that f in K[x] is
-    squarefree; False proves nothing.  K is the field of f's coefficients,
-    Q for rationals.
+    """True only when a prime proves that f in K[x] is squarefree; False
+    proves nothing.  K is the field of f's coefficients, Q for rationals.
+    It serves the callers that factor nothing next: Yun, flatten and
+    minimal_polynomial.  Where Zassenhaus runs next, its own prime scan
+    is the proof (_trager_shift).
 
-    The scan runs over the degree-one primes (l, r) of K above the first
-    _CERT_PRIMES primes, from K._certificate_primes, with m = K.min_poly,
-    skipping every l that divides a denominator of a coordinate of f.
+    On rational coefficients it is that scan, zz.zz_squarefree_primes, on
+    the primitive integer multiple of f, within the first _CERT_PRIMES
+    odd primes and _CERT_PAIRS failures: an odd prime p not dividing its
+    leading coefficient, at which it stays squarefree mod p, proves it.
+
+    Over K != Q the scan runs over the degree-one primes (l, r) of K
+    above the first _CERT_PRIMES primes, from K._certificate_primes, with
+    m = K.min_poly, skipping every l that divides a denominator of a
+    coordinate of f.
     Then every coefficient of f lies in Z_(l)[theta], and theta -> r is
     a ring map phi: Z_(l)[theta] -> GF(l), because m(r) = 0 (mod l),
     which _images applies to the coefficients of f.  The resultant
@@ -423,6 +432,11 @@ def _certified_squarefree(f: Poly) -> bool:
     """
     lc = f.leading
     K = lc.field if isinstance(lc, NFElement) else QQ
+    if K.degree == 1:
+        scan = zz.zz_squarefree_primes(
+            _to_primitive_int(f), within=(_CERT_PRIMES, _CERT_PAIRS)
+        )
+        return next(scan, None) is not None
     pairs = 0
     for ell, vals in _images(K._certificate_primes(), f.coeffs):
         if not vals[-1]:
@@ -515,9 +529,10 @@ def is_irreducible(K: NumberField, p: Poly) -> bool:
     squarefree N makes each N(w) irreducible and no two of them equal,
     so p and N have equally many irreducible factors, each of
     multiplicity one.  So p is irreducible exactly when Zassenhaus
-    returns one factor of the primitive integer multiple f of N.  Its
-    prime scan skips only the primes dividing lc(f) disc(f), and disc(f)
-    is nonzero because N has no repeated root.
+    returns one factor of the primitive integer multiple f of N.  That
+    one Zassenhaus call is also the proof that N is squarefree: its prime
+    scan's first usable prime p, not dividing lc(f), with f mod p
+    squarefree, gives disc(f) != 0 (see _trager_shift).
     """
     if p.is_zero():
         raise ZeroPolynomial("irreducibility test on the zero polynomial")
@@ -526,10 +541,10 @@ def is_irreducible(K: NumberField, p: Poly) -> bool:
     if K.degree > 1:
         p = K.poly(p.coeffs)
     try:
-        norm = _trager_shift(K, p.monic())[2]
+        factors = _trager_shift(K, p.monic(), factor=True)[3]
     except NotIrreducible:
         return False
-    return len(zz.zz_factor_squarefree(_to_primitive_int(norm))) == 1
+    return len(factors) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -621,22 +636,31 @@ def factor_over_K(
     return _factor(p, lambda g: _factor_squarefree_over_K(K, g))
 
 
-def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
+def _trager_shift(
+    K: NumberField, g: Poly, factor: bool = False
+) -> tuple[int, Poly, Poly, list[list[int]] | None]:
     """Smallest s >= 0 for which the norm of g shifted by s*theta is
-    squarefree: returns (s, shifted g, norm).  Over Q the norm at s = 0
-    is g itself.
+    squarefree: returns (s, shifted g, norm, factors).  Over Q the norm
+    at s = 0 is g itself.  With factor, factors are the irreducible
+    factors over Z of the primitive integer multiple of the norm, from
+    the one zz_factor_squarefree call that proves it squarefree;
+    otherwise they are None.
 
     The norm of g(x - s*theta) has the n*d roots beta + s*theta_j, for
     the d conjugates theta_j of theta and the roots beta of the matching
     conjugate of g (n = deg g, d = [K:Q]).  For squarefree g, two of them
     coincide only when beta + s*theta_j = beta' + s*theta_k with j != k,
-    which fixes s, so at most C(n*d, 2) shifts are bad.  A norm is
-    accepted when _certified_squarefree proves it squarefree, else by an
-    exact gcd.  When the first shift fails, one gcd(g, g') tells a bad
-    shift from a repeated factor of g, and a g that is not squarefree
-    raises NotIrreducible at once.  Over Q the first failure is final,
-    since the norm is g.  When K != Q and every coefficient of g is
-    rational, the search starts at s = 1.
+    which fixes s, so at most C(n*d, 2) shifts are bad.  A norm N is
+    accepted when a prime proves it squarefree: with factor, the first
+    usable prime of Zassenhaus's own scan (zz.zz_squarefree_primes),
+    otherwise _certified_squarefree.  Both give up within _CERT_PRIMES
+    primes and _CERT_PAIRS failures, and only then does the exact
+    gcd(N, N') decide; with factor, an N it proves squarefree is then
+    factored with the scan unbounded.  When the first shift fails, one
+    gcd(g, g') tells a bad shift from a repeated factor of g, and a g
+    that is not squarefree raises NotIrreducible at once.  Over Q the
+    first failure is final, since the norm is g.  When K != Q and every
+    coefficient of g is rational, the search starts at s = 1.
     """
     # rational g has norm g**[K:Q] at s = 0, which is never squarefree
     rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
@@ -644,11 +668,15 @@ def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
     for s in range(first, math.comb(g.degree * K.degree, 2) + 1):
         gs = g if s == 0 else g.shift(K.gen * -s)
         norm = norm_poly(K, gs) if K.degree > 1 else gs
-        if (
-            _certified_squarefree(norm)
-            or gcd(norm, norm.derivative()).degree == 0
-        ):
-            return s, gs, norm
+        if factor:
+            f = _to_primitive_int(norm)
+            factors = zz.zz_factor_squarefree(f, within=(_CERT_PRIMES, _CERT_PAIRS))
+            if factors is None and gcd(norm, norm.derivative()).degree == 0:
+                factors = zz.zz_factor_squarefree(f)
+            if factors is not None:
+                return s, gs, norm, factors
+        elif _certified_squarefree(norm) or gcd(norm, norm.derivative()).degree == 0:
+            return s, gs, norm, None
         if s == first and (K.degree == 1 or gcd(g, g.derivative()).degree > 0):
             break
     raise NotIrreducible(f"{g!r} is not squarefree")
@@ -657,9 +685,7 @@ def _trager_shift(K: NumberField, g: Poly) -> tuple[int, Poly, Poly]:
 def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
     if g.degree == 1:
         return [g.monic()]
-    s, gs, norm = _trager_shift(K, g)
-    # the norm is squarefree: Zassenhaus directly, no second Yun
-    norm_factors = _factor_squarefree_over_Q(norm)
+    s, gs, _, norm_factors = _trager_shift(K, g, factor=True)
     if len(norm_factors) == 1:
         return [g.monic()]
     out = []
@@ -667,7 +693,7 @@ def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
     for h in norm_factors:
         if rest.degree <= 0:
             break
-        w = gcd(rest, K.poly(h.coeffs))
+        w = gcd(rest, K.poly(h))
         if w.degree == 0:
             continue
         rest = divrem(rest, w)[0]
@@ -715,7 +741,7 @@ def flatten(
         # irreducibility established above or vouched for by the caller
         L = NumberField(Poly([c.as_rational() for c in Q.coeffs]), trusted=True)
         return FlattenedExtension(L, L.gen, 0)
-    s, _, norm = _trager_shift(K, Q)
+    s, _, norm, _ = _trager_shift(K, Q)
     L = NumberField(norm, trusted=True)
     gamma = L.gen
     if s == 0:

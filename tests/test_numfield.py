@@ -436,9 +436,9 @@ def _callers(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(sys._getframe(1).f_code.co_name)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -536,23 +536,39 @@ def test_is_irreducible_matches_sympy():
 
 
 def test_is_irreducible_factors_nothing_on_a_certified_norm(monkeypatch):
+    # the one Zassenhaus run on a squarefree norm is its own squarefree
+    # proof: no certificate, no exact gcd, no factor_over_K
     Qi = gaussian_field()
     i = Qi.gen
     factored = _callers(monkeypatch, numfield, "factor_over_K")
+    certified = _callers(monkeypatch, numfield, "_certified_squarefree")
+    gcds = _callers(monkeypatch, numfield, "gcd")
     zassenhaus = _callers(monkeypatch, _intfactor, "zz_factor_squarefree")
-    # x**2 - i has the squarefree, irreducible norm x**4 + 1
-    assert is_irreducible(Qi, Poly([-i, Qi.zero, Qi.one]))
-    assert factored == [] and zassenhaus == ["is_irreducible"]
-    # rational P over Q(i): the norm at the shift s = 1, one Zassenhaus run
-    rational = [(qpoly(-2, 0, 1), True), (qpoly(1, 0, 1), False), (qpoly(-2, 0, 0, 1), True)]
-    for p, expected in rational:
+    cases = [
+        # x**2 - i has the irreducible norm x**4 + 1
+        (Qi, Poly([-i, Qi.zero, Qi.one]), True),
+        # rational P over Q(i): the norm at the shift s = 1
+        (Qi, qpoly(-2, 0, 1), True),
+        (Qi, qpoly(-2, 0, 0, 1), True),
+        # over Q the norm is P itself
+        (QQ, qpoly(-2, 0, 0, 1), True),
+        (QQ, qpoly(1, 0, 1), True),
+        (QQ, qpoly(-2, 0, -1, 0, 1), False),  # (x**2 - 2)(x**2 + 1)
+    ]
+    for K, p, expected in cases:
         del zassenhaus[:]
-        assert is_irreducible(Qi, p) == expected, p
-        assert factored == [] and zassenhaus == ["is_irreducible"]
+        assert is_irreducible(K, p) == expected, (K, p)
+        assert zassenhaus == ["_trager_shift"], (K, p)
+        assert factored == certified == gcds == [], (K, p)
+    # x**2 + 1 over Q(i) has the norm x**2 (x**2 + 4) at s = 1: the
+    # scan gives up, the exact gcds reject s = 1, and s = 2 proves itself
     del zassenhaus[:]
+    assert not is_irreducible(Qi, qpoly(1, 0, 1))
+    assert zassenhaus == ["_trager_shift"] * 2 and gcds == ["_trager_shift"] * 2
+    del zassenhaus[:], gcds[:]
     assert is_irreducible(Qi, Poly([-i, Qi.one]))
     assert is_irreducible(QQ, qpoly(-2, 1))
-    assert factored == [] and zassenhaus == []
+    assert factored == certified == gcds == zassenhaus == []
 
 
 def test_trager_shift_stops_at_a_repeated_factor(monkeypatch):
@@ -572,6 +588,86 @@ def test_trager_shift_stops_at_a_repeated_factor(monkeypatch):
                 numfield._trager_shift(K, g)
             assert len(norms) == (K.degree > 1), (K, g)
             assert not is_irreducible(K, g), (K, g)
+
+
+def test_is_irreducible_takes_the_exact_gcd_when_the_scan_proves_nothing(monkeypatch):
+    # every prime below 10**4 divides a*b, hence disc(b x^2 - a) = 4ab:
+    # the scan within the certificate's bounds gives up, one exact gcd
+    # proves the norm squarefree, and the unbounded scan reaches 10007
+    from qrank.groups import CompanionPresentation, validate
+
+    primes = primes_upto(10**4)
+    a, b = math.prod(primes[0::2]), math.prod(primes[1::2])
+    P = qpoly(Fraction(-a, b), 0, 1)
+    gcds = _callers(monkeypatch, numfield, "gcd")
+    zassenhaus = _callers(monkeypatch, _intfactor, "zz_factor_squarefree")
+    usable = []
+    scan = _intfactor.zz_squarefree_primes
+
+    def recording(f, within=None):
+        for p, F in scan(f, within):
+            usable.append(p)
+            yield p, F
+
+    monkeypatch.setattr(_intfactor, "zz_squarefree_primes", recording)
+    checks = [
+        lambda: is_irreducible(QQ, P),
+        lambda: validate(CompanionPresentation(QQ, P)).irreducible_over_R,
+    ]
+    for check in checks:
+        del gcds[:], zassenhaus[:], usable[:]
+        assert check()
+        assert gcds == ["_trager_shift"]
+        assert zassenhaus == ["_trager_shift"] * 2
+        assert usable[0] == 10007
+
+
+def test_is_irreducible_rejects_a_repeated_factor_after_one_gcd(monkeypatch):
+    # the scan on the first norm gives up, and gcd(P, P') ends the search
+    Qi = gaussian_field()
+    w = Poly([-Qi.gen, Qi.one])
+    gcds = []
+    original = numfield.gcd
+
+    def recording(f, g):
+        gcds.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(numfield, "gcd", recording)
+    zassenhaus = _callers(monkeypatch, _intfactor, "zz_factor_squarefree")
+    square = qpoly(1, 0, 1) * qpoly(1, 0, 1)
+    cases = [(QQ, square * qpoly(2, 1)), (Qi, w * w * Qi.poly([2, 1]))]
+    for K, P in cases:
+        del gcds[:], zassenhaus[:]
+        assert not is_irreducible(K, P)
+        assert zassenhaus == ["_trager_shift"]
+        # over Q the norm is P, so its gcd is gcd(P, P') itself
+        assert len(gcds) == K.degree and gcds[-1] == (P, P.derivative())
+
+
+def test_is_irreducible_matches_factor_over_K_on_both_routes(monkeypatch):
+    # random P with their squares and products, and P whose norms stay
+    # squarefree at no prime up to 59: x**2 - m, x**2 - m**2 and
+    # (x**2 - m)(x - 1) for m the product of the primes up to 59
+    rng = random.Random(30)
+    m = math.prod(primes_upto(59))
+    gcds = _callers(monkeypatch, numfield, "gcd")
+    for K in (QQ, gaussian_field(), sqrt2_field(), sqrtm3_field()):
+        cases = []
+        for _ in range(5):
+            q = _random_monic(rng, K, rng.randint(1, 3))
+            r = _random_monic(rng, K, rng.randint(1, 2))
+            cases += [q, q * q, q * r, q * q * r]
+        cases += [qpoly(-m, 0, 1), qpoly(-m * m, 0, 1), qpoly(-m, 0, 1) * qpoly(-1, 1)]
+        routes = collections.Counter()
+        for p in cases:
+            del gcds[:]
+            got = is_irreducible(K, p)
+            assert got == _factor_verdict(K, p), (K, p)
+            routes[got, "_trager_shift" in gcds] += 1
+        # both verdicts, and irreducible P proved by the scan and by the gcd
+        assert routes[True, False] and routes[True, True], (K, routes)
+        assert routes[False, False] + routes[False, True], (K, routes)
 
 
 def test_divrem_by_monic_needs_no_inverse(monkeypatch):
@@ -1052,7 +1148,7 @@ def test_trager_shift_skips_zero_on_rational_input(monkeypatch):
         return original(K, f)
 
     monkeypatch.setattr(numfield, "norm_poly", counting)
-    s, gs, norm = numfield._trager_shift(Qi, Qi.poly(qpoly(-3, 1, 1).coeffs))
+    s, gs, norm, _ = numfield._trager_shift(Qi, Qi.poly(qpoly(-3, 1, 1).coeffs))
     assert s == 1 and len(calls) == 1
     assert gcd(norm, norm.derivative()).degree == 0
 

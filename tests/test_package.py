@@ -91,6 +91,33 @@ def test_modules_import_no_unused_names():
     assert unused == {}
 
 
+def _qrank_imports(source: str) -> set[str]:
+    """The qrank modules a module's source imports from, by name."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "qrank"
+        ):
+            module = (node.module or "").removeprefix("qrank").lstrip(".")
+            used.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            used.update(
+                a.name.removeprefix("qrank").lstrip(".") or "qrank"
+                for a in node.names
+                if a.name.partition(".")[0] == "qrank"
+            )
+    return used
+
+
+def test_intfactor_is_a_leaf_on_integer_lists():
+    # the integer kernel reads only arith and errors, so it stays on
+    # integer lists and the exact-gcd fallback stays in numfield
+    sample = "from . import config\nfrom .poly import gcd\nimport qrank.numfield\n"
+    assert _qrank_imports(sample) == {"config", "poly", "numfield"}
+    source = (pathlib.Path(qrank.__file__).parent / "_intfactor.py").read_text()
+    assert _qrank_imports(source) <= {"arith", "errors"}
+
+
 
 # Floating point may only size prime bounds (README: never in a verdict):
 # the module constants of these modules and these functions.
