@@ -24,6 +24,7 @@ from .numfield import (
     NFElement,
     NumberField,
     is_irreducible,
+    norm_at_shift_zero,
     squarefree_decomposition,
 )
 from .poly import (
@@ -120,12 +121,14 @@ class RankReport:
 def validate(g: CompanionPresentation) -> ValidationReport:
     """Check the eigenvalue conditions: characteristic polynomial
     irreducible over the ring, and no root-of-unity eigenvalue.  P is
-    held to the degree cap before it is factored."""
+    held to the degree cap before it is factored, and both tests read
+    one norm of P at shift 0."""
     R, P = g.ring, g.char_poly
     config.check_degree(P.degree, 1)
+    norm = norm_at_shift_zero(R, P)
     return ValidationReport(
-        irreducible_over_R=is_irreducible(R, P),
-        root_of_unity_eigenvalue=has_root_of_unity_root(R, P),
+        irreducible_over_R=is_irreducible(R, P, norm),
+        root_of_unity_eigenvalue=has_root_of_unity_root(R, P, norm),
     )
 
 

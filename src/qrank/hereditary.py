@@ -30,7 +30,16 @@ settles nothing.  Each step is exact, so verdicts, prime
 bounds and tested primes do not depend on which one decided.  A linear
 factor x - alpha obstructed by alpha = beta**p splits through that beta
 as (x - beta) * (x**(p-1) + ... + beta**(p-1)), so only the cofactor is
-factored.
+factored.  One obstructed by alpha = -4*gamma**4 splits through gamma
+with nothing factored: x**4 + 4*gamma**4 is
+(x**2 - 2*gamma*x + 2*gamma**2) * (x**2 + 2*gamma*x + 2*gamma**2)
+(Schinzel, Polynomials with special regard to reducibility, section
+2.1), and each quadratic splits further exactly when -1 is a square.
+
+Each check of the input builds its Trager norm at shift 0 once
+(norm_at_shift_zero) for both the irreducibility and the root-of-unity
+test, and the worklist's root is flattened at the shift that proved it
+irreducible.
 """
 
 from __future__ import annotations
@@ -55,12 +64,12 @@ from .numfield import (
     factor_over_K,
     flatten,
     in_minus4_fourth_powers,
-    is_irreducible,
     minimal_polynomial,
+    norm_at_shift_zero,
     pth_root_in_field,
+    _irreducible_shift,
     _to_primitive_int,
     mahler_measure_upper,
-    norm_poly,
 )
 from .poly import Poly, poly_key, substitute_power
 
@@ -85,11 +94,14 @@ def _orders(D: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return orders
 
 
-def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
+def has_root_of_unity_root(K: NumberField, P: Poly, norm: Poly | None = None) -> bool:
     """Whether some root of P is a root of unity.
 
     The test runs on the norm R = prod_sigma sigma(P) in Q[x] of the
-    monic P, sigma over the embeddings of K (over Q, R is P).  A root of
+    monic P, sigma over the embeddings of K, from norm_at_shift_zero or
+    passed in as norm by a caller that has built it.  Over Q, R is P, and
+    for a rational P over K, R = P**[K:Q] has the roots of P, so the test
+    reads P itself and no norm is built.  A root of
     unity among the roots of P is a root of R.  Conversely, if zeta is a
     root of sigma(P), then tau^-1(zeta) is a root of P for any
     automorphism tau of Q-bar extending sigma, and it is a root of unity
@@ -112,7 +124,9 @@ def has_root_of_unity_root(K: NumberField, P: Poly) -> bool:
         raise ZeroPolynomial("root-of-unity test on the zero polynomial")
     if P.degree <= 0:
         return False
-    f = _to_primitive_int(P if K.degree == 1 else norm_poly(K, P.monic()))
+    if norm is None and K.degree > 1:
+        norm = norm_at_shift_zero(K, P.monic())
+    f = _to_primitive_int(P if norm is None else norm)
     for n, _, primes in _orders(len(f) - 1):
         r = [0] * n
         for i, c in enumerate(f):
@@ -139,9 +153,10 @@ class HereditaryCertificate:
     an obstructed verdict capelli_certificate stores the witnessed split
     of factor(x**e).  The lift exponent says which power of x turned the
     tested base factor into the reported one; heredity is preserved by
-    that substitution.  For a p-th power obstruction, root holds the beta
-    with beta**p = alpha that the scan proved, in K(alpha), a Fraction when
-    that is Q; it is neither serialized nor compared.
+    that substitution.  root holds the element of K(alpha) that the scan
+    proved, a Fraction when K(alpha) is Q: for a p-th power obstruction
+    the beta with beta**p = alpha, for a minus-four obstruction the gamma
+    with -4*gamma**4 = alpha.  It is neither serialized nor compared.
     """
 
     factor: Poly
@@ -221,11 +236,14 @@ def _certificate(
     )
 
 
-def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
+def _power_test(
+    K: NumberField, Q: Poly, m: int = 0, shift: tuple[int, Poly, Poly] | None = None
+) -> HereditaryCertificate:
     """Obstruction scan for an irreducible factor Q over K, as Q's
-    certificate with no witnessed split, holding the proved root of a
-    p-th power obstruction; preconditions (irreducible, Q(0) != 0, no
-    root-of-unity roots) are the caller's.
+    certificate with no witnessed split, holding the proved root of an
+    obstruction; preconditions (irreducible, Q(0) != 0, no root-of-unity
+    roots) are the caller's, and shift, when given, is the Trager shift
+    that proved the monic Q irreducible, for flatten.
 
     The default m = 0 scans for every exponent at once (every integer
     divides 0).  A target m >= 1 asks only whether Q(x**m) is reducible,
@@ -245,11 +263,12 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
     * mp(0))**k and N(-alpha/4) = (-1/4)**[L:Q] * N(alpha).  |N(alpha)|,
     (|a_0|/|a_d|)**k or 1 for a unit, is a p-th power for every prime
     tested, so the norm rules out only p = 2, by its sign.  A rational
-    alpha over Q is its own norm: the first prime that passes obstructs.
+    alpha over Q is its own norm: the first prime that passes obstructs,
+    and the fourth root of N(-alpha/4) = -alpha/4 is gamma itself.
     """
     # read before flatten, so a malformed cap fails for non-units too
     cap = 0 if m else config.max_prime()
-    ext = flatten(K, Q, trusted=True)
+    ext = flatten(K, Q, trusted=True, shift=shift)
     L, alpha = ext.field, ext.alpha
     # flatten returns alpha = L.gen over Q and at Trager shift 0
     mp = L.min_poly if alpha == L.gen else minimal_polynomial(alpha)
@@ -276,13 +295,15 @@ def _power_test(K: NumberField, Q: Poly, m: int = 0) -> HereditaryCertificate:
             root = pth_root_in_field(L, alpha, p)
         if root is not None:
             return _certificate(Q, bound, tested, Obstruction.pth_power(p), root)
-    obstruction = None
     # gamma**4 = -alpha/4 forces N(gamma)**4 = N(-alpha/4) > 0
     norm_m4 = Fraction(-1, 4) ** L.degree * norm_alpha
-    if m % 4 == 0 and norm_m4 > 0 and rational_nth_root(norm_m4, 4) is not None:
-        if L.degree == 1 or in_minus4_fourth_powers(L, alpha):
-            obstruction = Obstruction.minus_four()
-    return _certificate(Q, bound, tested, obstruction)
+    if m % 4 == 0 and norm_m4 > 0:
+        gamma = rational_nth_root(norm_m4, 4)
+        if gamma is not None and L.degree > 1:
+            gamma = in_minus4_fourth_powers(L, alpha)
+        if gamma is not None:
+            return _certificate(Q, bound, tested, Obstruction.minus_four(), gamma)
+    return _certificate(Q, bound, tested, None)
 
 
 def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
@@ -293,15 +314,34 @@ def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
     For Q = x - alpha and alpha = beta**p, beta in K being the root the
     scan proved, x**p - alpha is x - beta times the cofactor
     x**(p-1) + beta*x**(p-2) + ... + beta**(p-1), and only the cofactor is
-    factored (x + beta needs nothing for p = 2).  Every other shape factors
-    Q(x**e).  The degree cap holds Q(x**e) first either way."""
+    factored (x + beta needs nothing for p = 2).  For Q = x - alpha and
+    alpha = -4*gamma**4, x**4 - alpha is
+    (x**2 - 2*gamma*x + 2*gamma**2) * (x**2 + 2*gamma*x + 2*gamma**2),
+    with nothing factored.  Each quadratic has discriminant -4*gamma**2,
+    so both split over K exactly when K holds a square root iota of -1,
+    into x -+ gamma*(1 +- iota).  A minus-four certificate that lists the
+    prime 2 has proved alpha no square, which rules iota out with no
+    call, since -4 = (1 + iota)**4 would make alpha = ((1 + iota)*gamma)**4;
+    only a scan that skipped 2 leaves pth_root_in_field to decide.  Every
+    other shape factors Q(x**e).  The degree cap holds Q(x**e) first
+    either way."""
     Q, e = cert.factor, cert.obstruction.exponent
     if Q.degree == 1 and cert.root is not None:
         config.check_degree(Q.degree, e)
-        beta = cert.root
-        cofactor = K.poly([beta ** (e - 1 - i) for i in range(e)])
-        rest = [cofactor] if e == 2 else [w for w, _ in factor_over_K(K, cofactor)[1]]
-        return sorted([K.poly([-beta, 1]), *rest], key=poly_key)
+        r = cert.root
+        if cert.obstruction.kind == "minus_four":
+            iota = None
+            if 2 not in cert.primes_tested:
+                iota = pth_root_in_field(K, K.from_rational(-1), 2)
+            if iota is None:
+                out = [K.poly([2 * r * r, c * r, 1]) for c in (-2, 2)]
+            else:
+                out = [K.poly([c * r * (1 + u), 1]) for c in (-1, 1) for u in (iota, -iota)]
+        else:
+            cofactor = K.poly([r ** (e - 1 - i) for i in range(e)])
+            rest = [cofactor] if e == 2 else [w for w, _ in factor_over_K(K, cofactor)[1]]
+            out = [K.poly([-r, 1]), *rest]
+        return sorted(out, key=poly_key)
     _, split = factor_over_K(K, substitute_power(Q, e))
     out = [w for w, m in split for _ in range(m)]
     if len(out) < 2:
@@ -309,7 +349,11 @@ def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
     return out
 
 
-def _check_preconditions(K: NumberField, Q: Poly) -> None:
+def _check_preconditions(K: NumberField, Q: Poly) -> tuple[int, Poly, Poly] | None:
+    """Raise unless Q is irreducible over K with Q(0) != 0 and no
+    root-of-unity root.  Both tests read one norm of the monic Q at shift
+    0; the Trager shift that proved Q irreducible is returned for
+    flatten, None for a linear Q."""
     if Q.is_zero():
         raise ZeroPolynomial("zero polynomial")
     if Q.degree < 1:
@@ -317,10 +361,16 @@ def _check_preconditions(K: NumberField, Q: Poly) -> None:
     if Q.coeffs[0] == 0:
         raise ZeroConstantTerm("zero constant term: x divides the input")
     config.check_degree(Q.degree, 1)
-    if not is_irreducible(K, Q):
-        raise NotIrreducible("reducible over the base field")
-    if has_root_of_unity_root(K, Q):
+    Q = Q.monic()
+    norm = norm_at_shift_zero(K, Q)
+    shift = None
+    if Q.degree > 1:
+        shift = _irreducible_shift(K, Q, norm)
+        if shift is None:
+            raise NotIrreducible("reducible over the base field")
+    if has_root_of_unity_root(K, Q, norm):
         raise RootOfUnity("some root is a root of unity")
+    return shift
 
 
 def capelli_obstruction(K: NumberField, Q: Poly) -> Obstruction | None:
@@ -330,15 +380,15 @@ def capelli_obstruction(K: NumberField, Q: Poly) -> Obstruction | None:
     preconditions (irreducibility over K, nonzero constant term, no
     root-of-unity roots) are checked and violations raise.
     """
-    _check_preconditions(K, Q)
-    return _power_test(K, Q.monic()).obstruction
+    shift = _check_preconditions(K, Q)
+    return _power_test(K, Q.monic(), shift=shift).obstruction
 
 
 def capelli_certificate(K: NumberField, Q: Poly) -> HereditaryCertificate:
     """Like capelli_obstruction but returns the full evidence record,
     including the witnessed split when obstructed."""
-    _check_preconditions(K, Q)
-    cert = _power_test(K, Q.monic())
+    shift = _check_preconditions(K, Q)
+    cert = _power_test(K, Q.monic(), shift=shift)
     if cert.obstruction is None:
         return cert
     return replace(cert, witnessed_split=tuple(_split(K, cert)))
@@ -361,14 +411,18 @@ def hereditary_factorization(
     the lift; substitute_power holds each polynomial it builds to the
     cap as well.
     """
-    _check_preconditions(K, P)
-    return _worklist(K, P)
+    shift = _check_preconditions(K, P)
+    return _worklist(K, P, shift=shift)
 
 
-def _worklist(K: NumberField, P: Poly, n: int = 0) -> HereditaryFactorization:
+def _worklist(
+    K: NumberField, P: Poly, n: int = 0, shift: tuple[int, Poly, Poly] | None = None
+) -> HereditaryFactorization:
     """hereditary_factorization for a P whose preconditions the caller
     has already checked (groups.subgroup_degree_spectrum validates P
-    first), so they are not tested a second time.
+    first), so they are not tested a second time.  shift, when given, is
+    the Trager shift that proved the monic P irreducible: the root node
+    is flattened at it.
 
     A target exponent n >= 1 restricts the search to P(x**n): a node
     (Q, acc), where acc always divides n, is tested only for what
@@ -387,7 +441,8 @@ def _worklist(K: NumberField, P: Poly, n: int = 0) -> HereditaryFactorization:
     terminal: list[tuple[int, HereditaryCertificate]] = []
     while queue:
         Q, acc = queue.pop(0)
-        cert = _power_test(K, Q, n // acc)
+        cert = _power_test(K, Q, n // acc, shift)
+        shift = None  # it proves the root alone
         if cert.obstruction is None:
             terminal.append((acc, cert))
             continue

@@ -515,12 +515,13 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     return Fraction(content), factors
 
 
-def is_irreducible(K: NumberField, p: Poly) -> bool:
+def is_irreducible(K: NumberField, p: Poly, norm: Poly | None = None) -> bool:
     """Whether p is irreducible over K: one factor, multiplicity one.
 
     A linear p is irreducible and a constant is not.  Otherwise
     _trager_shift finds a shift s for which the norm N of the monic
-    p(x - s*theta) is squarefree, or proves p not squarefree.  Trager's
+    p(x - s*theta) is squarefree, or proves p not squarefree; norm, when
+    given, is N at s = 0 (norm_at_shift_zero), not built again.  Trager's
     lemma (Trager 1976, "Algebraic factoring and rational function
     integration"; Cohen, GTM 138, section 3.6.2): when N is squarefree,
     p factors over K as N factors over Q.  For an irreducible factor w
@@ -538,13 +539,38 @@ def is_irreducible(K: NumberField, p: Poly) -> bool:
         raise ZeroPolynomial("irreducibility test on the zero polynomial")
     if p.degree < 2:
         return p.degree == 1
+    return _irreducible_shift(K, p, norm) is not None
+
+
+def _irreducible_shift(
+    K: NumberField, p: Poly, norm: Poly | None = None
+) -> tuple[int, Poly, Poly] | None:
+    """The (s, shifted monic p, norm) at which _trager_shift proves p, of
+    degree >= 2, irreducible over K, or None when p is reducible; norm,
+    when given, is the norm of the monic p at s = 0.  flatten takes the
+    triple in place of a second shift search."""
     if K.degree > 1:
         p = K.poly(p.coeffs)
     try:
-        factors = _trager_shift(K, p.monic(), factor=True)[3]
+        s, gs, N, factors = _trager_shift(K, p.monic(), factor=True, norm0=norm)
     except NotIrreducible:
-        return False
-    return len(factors) == 1
+        return None
+    return (s, gs, N) if len(factors) == 1 else None
+
+
+def norm_at_shift_zero(K: NumberField, P: Poly) -> Poly | None:
+    """The norm N(P) of a monic P over K, when some coefficient of P lies
+    outside Q; None otherwise.  Over Q the norm is P itself, and a
+    rational P over K != Q has norm P**[K:Q], whose roots are those of
+    P: the root-of-unity test reads P, and the Trager shift starts at
+    s = 1.  The one norm serves both checks of P: the irreducibility
+    test, as its s = 0 norm, and the root-of-unity test."""
+    if K.degree == 1:
+        return None
+    P = K.poly(P.coeffs)
+    if all(c.is_rational() for c in P.coeffs):
+        return None
+    return norm_poly(K, P)
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +663,14 @@ def factor_over_K(
 
 
 def _trager_shift(
-    K: NumberField, g: Poly, factor: bool = False
+    K: NumberField, g: Poly, factor: bool = False, norm0: Poly | None = None
 ) -> tuple[int, Poly, Poly, list[list[int]] | None]:
     """Smallest s >= 0 for which the norm of g shifted by s*theta is
     squarefree: returns (s, shifted g, norm, factors).  Over Q the norm
-    at s = 0 is g itself.  With factor, factors are the irreducible
-    factors over Z of the primitive integer multiple of the norm, from
-    the one zz_factor_squarefree call that proves it squarefree;
-    otherwise they are None.
+    at s = 0 is g itself; norm0, when given, is the norm at s = 0.  With
+    factor, factors are the irreducible factors over Z of the primitive
+    integer multiple of the norm, from the one zz_factor_squarefree call
+    that proves it squarefree; otherwise they are None.
 
     The norm of g(x - s*theta) has the n*d roots beta + s*theta_j, for
     the d conjugates theta_j of theta and the roots beta of the matching
@@ -667,7 +693,12 @@ def _trager_shift(
     first = 1 if rational else 0
     for s in range(first, math.comb(g.degree * K.degree, 2) + 1):
         gs = g if s == 0 else g.shift(K.gen * -s)
-        norm = norm_poly(K, gs) if K.degree > 1 else gs
+        if K.degree == 1:
+            norm = gs
+        elif s == 0 and norm0 is not None:
+            norm = norm0
+        else:
+            norm = norm_poly(K, gs)
         if factor:
             f = _to_primitive_int(norm)
             factors = zz.zz_factor_squarefree(f, within=(_CERT_PRIMES, _CERT_PAIRS))
@@ -718,7 +749,10 @@ class FlattenedExtension:
 
 
 def flatten(
-    K: NumberField, Q: Poly, trusted: bool = False
+    K: NumberField,
+    Q: Poly,
+    trusted: bool = False,
+    shift: tuple[int, Poly, Poly] | None = None,
 ) -> FlattenedExtension:
     """Flatten the tower K(alpha)/K/Q for Q irreducible over K: the
     absolute field L and the root alpha of Q in it.
@@ -728,20 +762,26 @@ def flatten(
     defines L with [L:Q] = [K:Q] * deg Q.  At s = 0, alpha is L.gen.
     When deg Q = 1, L is K itself; over K = Q it is Q[u]/(Q).  Callers
     that already know Q is irreducible pass trusted=True to skip the
-    verification.
+    verification; one that also holds the (s, shifted Q, norm) at which
+    _irreducible_shift proved Q irreducible passes it as shift, and no
+    shift is searched for again.  The verification, when it runs, yields
+    that triple itself.  The proof and the search both decide
+    squarefreeness exactly, so both land on the same smallest s.
     """
     if Q.is_zero() or Q.degree < 1:
         raise NotIrreducible("need a nonconstant polynomial")
     Q = K.poly(Q.coeffs).monic()
-    if not trusted and not is_irreducible(K, Q):
-        raise NotIrreducible("reducible over the base field")
     if Q.degree == 1:
         return FlattenedExtension(K, -Q.coeffs[0], 0)
+    if not trusted:
+        shift = _irreducible_shift(K, Q)
+        if shift is None:
+            raise NotIrreducible("reducible over the base field")
     if K.degree == 1:
         # irreducibility established above or vouched for by the caller
         L = NumberField(Poly([c.as_rational() for c in Q.coeffs]), trusted=True)
         return FlattenedExtension(L, L.gen, 0)
-    s, _, norm, _ = _trager_shift(K, Q)
+    s, _, norm = shift or _trager_shift(K, Q)[:3]
     L = NumberField(norm, trusted=True)
     gamma = L.gen
     if s == 0:
@@ -1021,10 +1061,10 @@ def pth_root_in_field(
     return _nth_root(L, a, p)
 
 
-def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> bool:
-    """Whether a lies in -4*L**4, that is, -a/4 is a fourth power in L:
-    whether x**4 + a/4 = x**4 - (-a/4) has a root."""
-    return _nth_root(L, a * Fraction(-1, 4), 4) is not None
+def in_minus4_fourth_powers(L: NumberField, a: NFElement) -> NFElement | None:
+    """A gamma in L with -4*gamma**4 = a, if a lies in -4*L**4: a root of
+    x**4 + a/4 = x**4 - (-a/4), found as pth_root_in_field finds beta."""
+    return _nth_root(L, a * Fraction(-1, 4), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import qpoly, reduct_spectrum_reference
-from qrank import groups, numfield
+from helpers import gaussian_field, qpoly, reduct_spectrum_reference
+from qrank import groups, hereditary, numfield
 from qrank.arith import primes_upto
 from qrank.groups import AMBIENTS
 from qrank.cli import (
@@ -73,10 +73,19 @@ def test_rank_root_of_unity_exit_2():
     )
 
 
+def _wrap_everywhere(monkeypatch, original, wrapper) -> None:
+    """Replace every qrank binding of original by wrapper, as
+    `from .numfield import factor_over_K` binds a second name in each
+    importing module."""
+    for name, module in list(sys.modules.items()):
+        if name == "qrank" or name.startswith("qrank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 def _record_factor_over_K(monkeypatch) -> list[int]:
     """Degrees of every polynomial passed to factor_over_K from now on."""
-    # wrap every qrank binding of factor_over_K, as `from .numfield import
-    # factor_over_K` binds a second name in each importing module
     original = numfield.factor_over_K
     degrees = []
 
@@ -84,12 +93,22 @@ def _record_factor_over_K(monkeypatch) -> list[int]:
         degrees.append(p.degree)
         return original(K, p)
 
-    for name, module in list(sys.modules.items()):
-        if name == "qrank" or name.startswith("qrank."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recording)
+    _wrap_everywhere(monkeypatch, original, recording)
     return degrees
+
+
+def _record_calls(monkeypatch, name: str) -> list[tuple[str, tuple]]:
+    """(calling function, positional arguments) of every call of
+    numfield.name from now on."""
+    original = getattr(numfield, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, args))
+        return original(*args, **kwargs)
+
+    _wrap_everywhere(monkeypatch, original, recording)
+    return calls
 
 
 def test_reduct_rank_factors_once(monkeypatch):
@@ -406,6 +425,40 @@ def test_hereditary_command_certificates():
     for c in res["certificates"]:
         assert c["verdict"] == "hereditarily_irreducible"
         assert "obstruction" not in c and "witnessed_split" not in c
+
+
+def test_each_check_builds_one_norm_and_flatten_reuses_the_proving_shift(monkeypatch):
+    # P = x**2 - (1 + 2i) over Q(i) has a coefficient outside Q, so each
+    # check of P builds its norm at shift 0 once, for both the
+    # irreducibility and the root-of-unity test, and the worklist's root
+    # is flattened at the shift that proved P irreducible
+    Qi = gaussian_field()
+    P = Qi.poly([-1 - 2 * Qi.gen, 0, 1])
+    ring = {"min_poly": {"coeffs": ["1", "0", "1"]}}
+    coeffs = {"coeffs": [["-1", "-2"], "0", "1"]}
+    roots_of_unity = []
+    original = hereditary.has_root_of_unity_root
+
+    def counting(*args):
+        roots_of_unity.append(args[1])
+        return original(*args)
+
+    _wrap_everywhere(monkeypatch, original, counting)
+    norms = _record_calls(monkeypatch, "norm_poly")
+    shifts = _record_calls(monkeypatch, "_trager_shift")
+    for command, payload, checks in (
+        ("rank", {"ring": ring, "char_poly": coeffs}, 3),
+        ("hereditary", {"field": ring, "poly": coeffs}, 1),
+    ):
+        roots_of_unity.clear()
+        norms.clear()
+        shifts.clear()
+        report, code = run_task(command, payload)
+        assert code == EXIT_OK, report
+        assert roots_of_unity == [P] * checks
+        assert [caller for caller, (_, f) in norms if f == P] == ["norm_at_shift_zero"] * checks
+        assert [caller for caller, (_, g) in shifts if g == P] == ["_irreducible_shift"] * checks
+        assert "flatten" not in [caller for caller, _ in shifts]
 
 
 def test_oracle_command():

@@ -466,25 +466,58 @@ def test_split_from_the_root_matches_factoring(monkeypatch):
         degrees.append(f.degree)
         return original(K, f)
 
-    for K in (QQ, gaussian_field(), sqrt2_field(), sqrtm3_field()):
+    def random_element(K):
+        coords = [Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.choice([1, 11, 13]))]
+        coords += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K.degree - 1)]
+        return K.element(coords)
+
+    def split_and_check(K, cert, e):
+        degrees.clear()
+        monkeypatch.setattr(hereditary, "factor_over_K", counting)
+        monkeypatch.setattr(numfield, "factor_over_K", counting)
+        split = hereditary._split(K, cert)
+        monkeypatch.setattr(hereditary, "factor_over_K", original)
+        monkeypatch.setattr(numfield, "factor_over_K", original)
+        _, want = factor_over_K(K, substitute_power(cert.factor, e))
+        assert [poly_key(w) for w in split] == [
+            poly_key(w) for w, m in want for _ in range(m)
+        ], (K, cert.factor)
+        return split
+
+    Qi = gaussian_field()
+    for K in (QQ, Qi, sqrt2_field(), sqrtm3_field()):
         for p in (2, 3, 5):
             for _ in range(3):
-                coords = [Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.choice([1, 11, 13]))]
-                coords += [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(K.degree - 1)]
-                alpha = K.element(coords) ** p
+                alpha = random_element(K) ** p
                 Q = K.poly([-alpha, 1])
                 cert = hereditary._power_test(K, Q, p)
                 assert cert.obstruction == Obstruction.pth_power(p)
                 assert K.poly([cert.root]).coeffs[0] ** p == alpha
-                degrees.clear()
-                monkeypatch.setattr(hereditary, "factor_over_K", counting)
-                split = hereditary._split(K, cert)
-                monkeypatch.setattr(hereditary, "factor_over_K", original)
+                split_and_check(K, cert, p)
                 assert degrees == ([] if p == 2 else [p - 1])
-                _, want = factor_over_K(K, substitute_power(Q, p))
-                assert [poly_key(w) for w in split] == [
-                    poly_key(w) for w, m in want for _ in range(m)
-                ], (K, alpha, p)
+        # x - alpha for alpha = -4*gamma**4 splits through gamma into two
+        # quadratics with nothing factored, and over Q(i) into four linear
+        # factors.  There -4 = (1 + i)**4 makes alpha a square, which the
+        # power test finds first, so a minus-four certificate whose scan
+        # skipped 2 stands in for one
+        for _ in range(3):
+            alpha = random_element(K) ** 4 * -4
+            Q = K.poly([-alpha, 1])
+            cert = hereditary._power_test(K, Q, 4)
+            if K is Qi:
+                assert cert.obstruction == Obstruction.pth_power(2)
+                gamma = in_minus4_fourth_powers(K, alpha)
+                cert = hereditary.HereditaryCertificate(
+                    Q, 4, (), Q, Obstruction.minus_four(), root=gamma
+                )
+                shapes = [1, 1, 1, 1]
+            else:
+                assert cert.obstruction == Obstruction.minus_four()
+                shapes = [2, 2]
+            assert K.poly([cert.root]).coeffs[0] ** 4 * -4 == alpha
+            split = split_and_check(K, cert, 4)
+            assert degrees == []
+            assert [w.degree for w in split] == shapes
 
 
 @pytest.mark.parametrize(
