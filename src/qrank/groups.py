@@ -6,7 +6,7 @@ factor counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import config
 from .errors import (
@@ -23,9 +23,8 @@ from .hereditary import (
 from .numfield import (
     NFElement,
     NumberField,
-    is_irreducible,
+    _irreducible_shift,
     norm_at_shift_zero,
-    squarefree_decomposition,
 )
 from .poly import (
     CompanionMatrix,
@@ -33,6 +32,8 @@ from .poly import (
     charpoly_of,
     companion_of,
     divides,
+    divrem,
+    gcd,
     substitute_power,
 )
 
@@ -93,10 +94,14 @@ class CompanionPresentation:
 @dataclass(frozen=True)
 class ValidationReport:
     """Necessary conditions for minimality and one-basedness; the
-    underlying facts are one-directional, so no sufficiency is claimed."""
+    underlying facts are one-directional, so no sufficiency is claimed.
+    shift is the (s, shifted P, norm) at which the Trager shift proved P,
+    of degree >= 2, irreducible, for the worklist's root to flatten at;
+    None otherwise.  It is neither compared nor serialized."""
 
     irreducible_over_R: bool
     root_of_unity_eigenvalue: bool
+    shift: tuple[int, Poly, Poly] | None = field(default=None, compare=False, repr=False)
 
     @property
     def minimal_necessary(self) -> bool:
@@ -122,13 +127,17 @@ def validate(g: CompanionPresentation) -> ValidationReport:
     """Check the eigenvalue conditions: characteristic polynomial
     irreducible over the ring, and no root-of-unity eigenvalue.  P is
     held to the degree cap before it is factored, and both tests read
-    one norm of P at shift 0."""
+    one norm of P at shift 0.  A linear P is irreducible; otherwise
+    _irreducible_shift decides, and the shift that proves P irreducible
+    is kept in the report."""
     R, P = g.ring, g.char_poly
     config.check_degree(P.degree, 1)
     norm = norm_at_shift_zero(R, P)
+    shift = _irreducible_shift(R, P, norm) if P.degree >= 2 else None
     return ValidationReport(
-        irreducible_over_R=is_irreducible(R, P, norm),
+        irreducible_over_R=P.degree == 1 or shift is not None,
         root_of_unity_eigenvalue=has_root_of_unity_root(R, P, norm),
+        shift=shift,
     )
 
 
@@ -195,18 +204,17 @@ def eigenvalue_compatible(
 ) -> bool:
     """Whether every eigenvalue of a size-r matrix with characteristic
     polynomial `candidate` powers (by n) into an eigenvalue of M:
-    equivalently the squarefree part of candidate, the product of the
-    parts of its squarefree_decomposition, divides P(x**n), which
-    substitute_power holds to the degree cap."""
+    equivalently the squarefree part of candidate, candidate divided by
+    gcd(candidate, candidate'), divides P(x**n), which substitute_power
+    holds to the degree cap."""
     if candidate.is_zero():
         raise ZeroPolynomial("candidate characteristic polynomial is zero")
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     if not all(isinstance(c, NFElement) for c in candidate.coeffs):
         candidate = g.ring.poly(candidate.coeffs)
-    sqf = g.ring.poly([1])
-    for part, _ in squarefree_decomposition(candidate.monic()):
-        sqf = sqf * part
+    candidate = candidate.monic()
+    sqf = divrem(candidate, gcd(candidate, candidate.derivative()))[0]
     return divides(sqf, substitute_power(g.char_poly, n))
 
 
@@ -229,11 +237,13 @@ def subgroup_degree_spectrum(g: CompanionPresentation, n: int) -> list[int]:
 
     P is validated first (validate holds it to the degree cap), then
     deg P * n is held to the cap, although at most P(x**N) is built.
-    No prime cap is read: only the primes dividing n are tested."""
+    The worklist's root is flattened at the shift that validation proved
+    P irreducible at.  No prime cap is read: only the primes dividing n
+    are tested."""
     if n < 1:
         raise ValueError(f"reduct index must be >= 1, got {n}")
-    _require_valid(g)
+    report = _require_valid(g)
     P = g.char_poly
     config.check_degree(P.degree, n)
-    hf = _worklist(g.ring, P, n)
+    hf = _worklist(g.ring, P, n, report.shift)
     return sorted(f.degree * (n // hf.N) for f in hf.factors)

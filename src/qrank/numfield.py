@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, product
-from typing import Callable
 
 from . import _intfactor as zz, config
 from .arith import is_prime
@@ -79,7 +78,8 @@ class NumberField:
 
     def _certificate_primes(self):
         """(l, roots) for the first _CERT_PRIMES primes l (2 to 53), with
-        the simple roots r of m mod l from _simple_roots.  Each entry is
+        the simple roots r of m mod l from _simple_roots: the primes from
+        which _lifted_roots picks the one it lifts at.  Each entry is
         computed once, when a caller first reads that far."""
         scan = self._scan
         primes = filter(is_prime, count(2))
@@ -369,13 +369,11 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm over a characteristic-zero field; f monic.
 
     Returns [(g_i, i)] with f = prod g_i**i, each g_i monic squarefree.
-    When _certified_squarefree proves f squarefree, the answer is
-    [(f, 1)] and no gcd is taken; otherwise Yun runs in full.
+    _factor runs it only on an input that its field's factoring has
+    proved not squarefree.
     """
     if f.degree < 1:
         return []
-    if _certified_squarefree(f):
-        return [(f.monic(), 1)]
     out = []
     g = gcd(f, f.derivative())
     c = divrem(f, g)[0]
@@ -391,62 +389,31 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-# Work bounds of a squarefree proof by primes, here and in the Trager
-# shift's Zassenhaus scan: primes l scanned, and usable (l, r) pairs
-# tried per call, so that a failure stays cheap
+# Work bounds of a squarefree proof by primes, in _certified_squarefree
+# and in the Trager shift's Zassenhaus scan: primes scanned, and primes
+# with a repeated factor mod p before the scan gives up, so that a
+# failure stays cheap.  The l-adic lift picks its prime among the first
+# _CERT_PRIMES primes (_certificate_primes)
 _CERT_PRIMES = 16
 _CERT_PAIRS = 6
 
 
 def _certified_squarefree(f: Poly) -> bool:
-    """True only when a prime proves that f in K[x] is squarefree; False
-    proves nothing.  K is the field of f's coefficients, Q for rationals.
-    It serves the callers that factor nothing next: Yun, flatten and
-    minimal_polynomial.  Where Zassenhaus runs next, its own prime scan
-    is the proof (_trager_shift).
+    """True only when a prime proves that f over Q, its coefficients
+    rationals or elements of a degree-1 field, is squarefree; False
+    proves nothing.  It serves the callers that factor nothing next:
+    the shift search of flatten and minimal_polynomial.  Where Zassenhaus
+    runs next, its own prime scan is the proof (_trager_shift).
 
-    On rational coefficients it is that scan, zz.zz_squarefree_primes, on
-    the primitive integer multiple of f, within the first _CERT_PRIMES
-    odd primes and _CERT_PAIRS failures: an odd prime p not dividing its
-    leading coefficient, at which it stays squarefree mod p, proves it.
-
-    Over K != Q the scan runs over the degree-one primes (l, r) of K
-    above the first _CERT_PRIMES primes, from K._certificate_primes, with
-    m = K.min_poly, skipping every l that divides a denominator of a
-    coordinate of f.
-    Then every coefficient of f lies in Z_(l)[theta], and theta -> r is
-    a ring map phi: Z_(l)[theta] -> GF(l), because m(r) = 0 (mod l),
-    which _images applies to the coefficients of f.  The resultant
-    Res(f, f') = +-lc(f) disc(f) is an integer polynomial in the
-    coefficients of f, so phi(Res(f, f')) is the resultant of phi(f) and
-    phi(f') taken at the formal degrees (n, n - 1).  When lc(f)(r) != 0
-    (mod l), phi(f) keeps degree n and phi(f') is its derivative, so that
-    formal resultant is a power of lc(phi(f)) times Res(phi(f), phi(f')),
-    which is nonzero exactly when gcd(phi(f), phi(f')) = 1 in GF(l)[x].
-    Then Res(f, f') != 0, disc f != 0, and f has no repeated root.
-
-    A squarefree f fails only at the finitely many l that divide the norm
-    of its discriminant.  The Trager norms over Q(i), Q(sqrt 2) and
-    Q(sqrt -3) often have 2, 3 and 5 among them, hence _CERT_PAIRS usable
-    pairs, within the first _CERT_PRIMES primes, before giving up.
+    It is that scan, zz.zz_squarefree_primes, on the primitive integer
+    multiple of f, within the first _CERT_PRIMES odd primes and
+    _CERT_PAIRS failures: an odd prime p not dividing its leading
+    coefficient, at which it stays squarefree mod p, proves it.
     """
-    lc = f.leading
-    K = lc.field if isinstance(lc, NFElement) else QQ
-    if K.degree == 1:
-        scan = zz.zz_squarefree_primes(
-            _to_primitive_int(f), within=(_CERT_PRIMES, _CERT_PAIRS)
-        )
-        return next(scan, None) is not None
-    pairs = 0
-    for ell, vals in _images(K._certificate_primes(), f.coeffs):
-        if not vals[-1]:
-            continue
-        if zz.gf_is_squarefree(zz.gf_from_zz(vals, ell), ell):
-            return True
-        pairs += 1
-        if pairs == _CERT_PAIRS:
-            return False
-    return False
+    scan = zz.zz_squarefree_primes(
+        _to_primitive_int(f), within=(_CERT_PRIMES, _CERT_PAIRS)
+    )
+    return next(scan, None) is not None
 
 
 def _to_primitive_int(f: Poly) -> list[int]:
@@ -467,23 +434,12 @@ def _num_den(c) -> tuple[tuple, int]:
     return (c.numerator,), c.denominator
 
 
-def _factor_squarefree_over_Q(g: Poly) -> list[Poly]:
-    """Monic irreducible factors over Q of a squarefree g (Zassenhaus),
-    with coefficients of the same kind as g's: Fractions, or elements of
-    g's degree-1 field."""
-    K = g.leading.field if isinstance(g.leading, NFElement) else None
-    return [
-        Poly([_reduced(K, (c,), h[-1]) if K else Fraction(c, h[-1]) for c in h])
-        for h in zz.zz_factor_squarefree(_to_primitive_int(g))
-    ]
-
-
-def _factor(
-    p: Poly, factor_squarefree: Callable[[Poly], list[Poly]]
-) -> tuple[object, list[tuple[Poly, int]]]:
+def _factor(K: NumberField, p: Poly) -> tuple[object, list[tuple[Poly, int]]]:
     """The front end shared by every field: leading coefficient, then the
-    power of x, then Yun once, each squarefree part split by the field's
-    own factor_squarefree; factors canonically sorted."""
+    power of x, then the field's own factoring (_factor_squarefree), whose
+    prime scan proves the rest squarefree.  Only when it proves the rest
+    not squarefree does Yun's squarefree_decomposition run, and each of
+    its parts is factored on its own.  Factors canonically sorted."""
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     content = p.leading
@@ -499,8 +455,13 @@ def _factor(
     if k:
         one = f.leading
         factors.append((Poly([one * 0, one]), k))
-    for g, mult in squarefree_decomposition(f):
-        factors.extend((w, mult) for w in factor_squarefree(g))
+    if f.degree > 0:
+        split = _factor_squarefree(K, f)
+        if split is not None:
+            factors.extend((w, 1) for w in split)
+        else:
+            for g, mult in squarefree_decomposition(f):
+                factors.extend((w, mult) for w in _factor_squarefree(K, g))
     return content, sorted_factors(factors)
 
 
@@ -509,7 +470,7 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     multiplicities, canonically sorted.  The coefficients of p are
     rationals or elements of a degree-1 field, and the factors keep
     their kind."""
-    content, factors = _factor(p, _factor_squarefree_over_Q)
+    content, factors = _factor(QQ, p)
     if isinstance(content, NFElement):
         return content.as_rational(), factors
     return Fraction(content), factors
@@ -659,7 +620,7 @@ def factor_over_K(
     if K.degree == 1:
         content, factors = factor_over_Q(p)
         return K.from_rational(content), factors
-    return _factor(p, lambda g: _factor_squarefree_over_K(K, g))
+    return _factor(K, p)
 
 
 def _trager_shift(
@@ -686,7 +647,9 @@ def _trager_shift(
     gcd(g, g') tells a bad shift from a repeated factor of g, and a g
     that is not squarefree raises NotIrreducible at once.  Over Q the
     first failure is final, since the norm is g.  When K != Q and every
-    coefficient of g is rational, the search starts at s = 1.
+    coefficient of g is rational, the search starts at s = 1.  So
+    NotIrreducible is raised exactly when g is not squarefree, which is
+    how _factor_squarefree tells _factor to run Yun.
     """
     # rational g has norm g**[K:Q] at s = 0, which is never squarefree
     rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
@@ -713,10 +676,26 @@ def _trager_shift(
     raise NotIrreducible(f"{g!r} is not squarefree")
 
 
-def _factor_squarefree_over_K(K: NumberField, g: Poly) -> list[Poly]:
-    if g.degree == 1:
+def _factor_squarefree(K: NumberField, g: Poly) -> list[Poly] | None:
+    """Monic irreducible factors over K of a monic g, or None exactly when
+    g is not squarefree.  Over Q the norm is g itself: its factors from
+    the one Zassenhaus call of _trager_shift at s = 0, with coefficients
+    of the same kind as g's (Fractions, or elements of g's degree-1
+    field).  Over K != Q, Trager's method: the factors over Q of the
+    squarefree norm of g(x - s*theta), each taken back to K by a gcd with
+    the shifted g and shifted back."""
+    if K.degree > 1 and g.degree == 1:
         return [g.monic()]
-    s, gs, _, norm_factors = _trager_shift(K, g, factor=True)
+    try:
+        s, gs, _, norm_factors = _trager_shift(K, g, factor=True)
+    except NotIrreducible:
+        return None
+    if K.degree == 1:
+        F = g.leading.field if isinstance(g.leading, NFElement) else None
+        return [
+            Poly([_reduced(F, (c,), h[-1]) if F else Fraction(c, h[-1]) for c in h])
+            for h in norm_factors
+        ]
     if len(norm_factors) == 1:
         return [g.monic()]
     out = []
@@ -874,26 +853,6 @@ def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
         if pairs >= _SIEVE_PAIRS:
             return False
     return False
-
-
-def _images(scan, scalars):
-    """(l, [c(r) mod l for c in scalars]) for each degree-one prime (l, r)
-    of scan, an iterable of (l, roots) pairs as K._certificate_primes
-    gives, whose l divides no denominator of the scalars, which are
-    rationals or elements of K.
-
-    For such an l, every scalar is an element of Z_(l)[theta], and
-    theta -> r is the ring map to GF(l) through which
-    _certified_squarefree argues.
-    """
-    rows = [_num_den(c) for c in scalars]
-    den = math.lcm(*(d for _, d in rows))
-    for ell, roots in scan:
-        if not roots or den % ell == 0:
-            continue
-        reduced = [_reduce(v, d, ell) for v, d in rows]
-        for r in roots:
-            yield ell, [_horner(row, r, ell) for row in reduced]
 
 
 def _horner(f: list[int], r: int, ell: int) -> int:
@@ -1075,9 +1034,10 @@ def minimal_polynomial(a: NFElement) -> Poly:
     """Monic minimal polynomial of a over Q.
 
     The characteristic polynomial chi = N(x - a) from norm_poly is
-    mp**k with k = [K:Q(a)].  When _certified_squarefree proves chi
-    squarefree, k = 1.  Otherwise the exact k-th root of chi is tried for
-    each divisor k > 1 of deg chi, largest first, and built up to r**k
+    mp**k with k = [K:Q(a)].  chi is rational, so _certified_squarefree's
+    prime scan over Q applies: when it proves chi squarefree, k = 1.
+    Otherwise the exact k-th root of chi is tried for each divisor k > 1
+    of deg chi, largest first, and built up to r**k
     only when r(0)**k == chi(0).  As mp is irreducible, r**k == chi = mp**j
     forces r = mp**(j/k), so the first k that passes is j itself and
     r = mp; if none passes, j = 1 and chi = mp.  A rational a has x - a.

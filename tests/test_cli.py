@@ -431,7 +431,8 @@ def test_each_check_builds_one_norm_and_flatten_reuses_the_proving_shift(monkeyp
     # P = x**2 - (1 + 2i) over Q(i) has a coefficient outside Q, so each
     # check of P builds its norm at shift 0 once, for both the
     # irreducibility and the root-of-unity test, and the worklist's root
-    # is flattened at the shift that proved P irreducible
+    # is flattened at the shift that proved P irreducible: for reduct-rank,
+    # the shift that validation proved
     Qi = gaussian_field()
     P = Qi.poly([-1 - 2 * Qi.gen, 0, 1])
     ring = {"min_poly": {"coeffs": ["1", "0", "1"]}}
@@ -449,6 +450,7 @@ def test_each_check_builds_one_norm_and_flatten_reuses_the_proving_shift(monkeyp
     for command, payload, checks in (
         ("rank", {"ring": ring, "char_poly": coeffs}, 3),
         ("hereditary", {"field": ring, "poly": coeffs}, 1),
+        ("reduct-rank", {"ring": ring, "char_poly": coeffs, "n": 6}, 1),
     ):
         roots_of_unity.clear()
         norms.clear()
@@ -459,6 +461,8 @@ def test_each_check_builds_one_norm_and_flatten_reuses_the_proving_shift(monkeyp
         assert [caller for caller, (_, f) in norms if f == P] == ["norm_at_shift_zero"] * checks
         assert [caller for caller, (_, g) in shifts if g == P] == ["_irreducible_shift"] * checks
         assert "flatten" not in [caller for caller, _ in shifts]
+        if command == "reduct-rank":
+            assert report["result"]["degree_spectrum"] == [12]
 
 
 def test_oracle_command():

@@ -325,6 +325,15 @@ def _random_product(rng, K, budget):
     return p
 
 
+def _sympy_expr(sympy, x, t, p):
+    """p as a sympy expression in x, its coefficients in t = K's generator."""
+    return sum(
+        sympy.Rational(a) * t**j * x**i
+        for i, c in enumerate(p.coeffs)
+        for j, a in enumerate(c.coords if isinstance(c, NFElement) else (c,))
+    )
+
+
 def test_factor_over_K_matches_sympy_degrees():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -338,11 +347,7 @@ def test_factor_over_K_matches_sympy_degrees():
         extension = {"extension": t} if K.degree > 1 else {}
         for _ in range(8):
             p = _random_product(rng, K, 8)
-            expr = sum(
-                sympy.Rational(a) * t**j * x**i
-                for i, c in enumerate(p.coeffs)
-                for j, a in enumerate(c.coords)
-            )
+            expr = _sympy_expr(sympy, x, t, p)
             _, ref = sympy.factor_list(sympy.expand(expr), x, **extension)
             expected = sorted((sympy.degree(f, x), m) for f, m in ref)
             _, factors = factor_over_K(K, p)
@@ -350,10 +355,8 @@ def test_factor_over_K_matches_sympy_degrees():
             assert got == expected, f"{p!r} over {K!r}"
 
 
-def test_factor_over_K_runs_yun_once(monkeypatch):
-    # x^4 + 1 is squarefree and splits over Q(i); its Trager norm is
-    # squarefree by construction, so Yun's algorithm runs only on the input
-    Qi = gaussian_field()
+def _counting_yun(monkeypatch):
+    """Record the degree of every input of numfield's Yun."""
     calls = []
     original = numfield.squarefree_decomposition
 
@@ -362,9 +365,22 @@ def test_factor_over_K_runs_yun_once(monkeypatch):
         return original(f)
 
     monkeypatch.setattr(numfield, "squarefree_decomposition", counting)
+    return calls
+
+
+def test_factor_over_K_runs_yun_once(monkeypatch):
+    # x^4 + 1 is squarefree and splits over Q(i): the Trager shift's prime
+    # scan proves it, and Yun never runs; (x - i)^2 (x + 2) is not
+    # squarefree, and Yun runs once, on the input
+    Qi = gaussian_field()
+    calls = _counting_yun(monkeypatch)
     _, factors = factor_over_K(Qi, Qi.poly([1, 0, 0, 0, 1]))
     assert [(f.degree, m) for f, m in factors] == [(2, 1), (2, 1)]
-    assert calls == [4]
+    assert calls == []
+    w = Poly([-Qi.gen, Qi.one])
+    _, factors = factor_over_K(Qi, w * w * Qi.poly([2, 1]))
+    assert sorted((f.degree, m) for f, m in factors) == [(1, 1), (1, 2)]
+    assert calls == [3]
 
 
 def _certificate_fields():
@@ -388,21 +404,22 @@ def _random_monic(rng, K, deg):
 
 
 def test_squarefree_certificate_is_sound_and_yun_matches_reference():
-    # g*h**2 is never certified; a certified g*h is squarefree by Euclid;
-    # Yun with the certificate equals Yun by Euclid alone on both
+    # over every field, Yun equals Yun by Euclid alone; over Q, g*h**2 is
+    # never certified and a certified g*h is squarefree by Euclid
     rng = random.Random(41)
+    certified = 0
     for K in _certificate_fields():
-        certified = 0
         for _ in range(10):
             g = _random_monic(rng, K, rng.randint(1, 3))
             h = _random_monic(rng, K, rng.randint(1, 2))
             for f in (g * h * h, g * h):
-                if numfield._certified_squarefree(f):
-                    assert gcd(f, f.derivative()).degree == 0, (K, f)
-                    certified += 1
                 assert squarefree_decomposition(f) == squarefree_decomposition_reference(f)
-            assert not numfield._certified_squarefree(g * h * h)
-        assert certified >= 5, K
+            if K is QQ:
+                assert not numfield._certified_squarefree(g * h * h)
+                if numfield._certified_squarefree(g * h):
+                    assert gcd(g * h, (g * h).derivative()).degree == 0, g * h
+                    certified += 1
+    assert certified >= 5
 
 
 def test_squarefree_certificate_skips_denominators_and_vanishing_leads():
@@ -416,19 +433,38 @@ def test_squarefree_certificate_skips_denominators_and_vanishing_leads():
     assert not numfield._certified_squarefree(
         qpoly(1, 2) * qpoly(1, 2) * qpoly(1, 1, 1)
     )
-    # over Q(i), 2 - i vanishes at the root 2 of t**2 + 1 mod 5, the first
-    # degree-one prime, where ((2 - i)x + 1)**2 (x**2 + x + 1) reduces to
-    # x**2 + x + 1, squarefree mod 5
-    Qi = gaussian_field()
-    w = Poly([Qi.one, 2 - Qi.gen])
-    assert not numfield._certified_squarefree(w * w * Qi.poly([1, 1, 1]))
-    assert numfield._certified_squarefree(w * Qi.poly([1, 1, 1]))
-    # t**3 + t/2 - 1/3: l = 2 and 3 divide denominators of m
+    # t**3 + t/2 - 1/3: l = 2 and 3 divide denominators of m, so the
+    # l-adic lift finds no root there
     K = _certificate_fields()[-1]
     assert [roots for _, roots in K._certificate_primes()][:2] == [[], []]
-    v = Poly([K.gen * Fraction(1, 7), K.one])
-    assert numfield._certified_squarefree(v * K.poly([1, 0, 1]))
-    assert not numfield._certified_squarefree(v * v * K.poly([1, 0, 1]))
+
+
+def test_factoring_proves_squarefree_once_and_runs_yun_only_when_it_fails(monkeypatch):
+    # a squarefree product over Q: one prime scan, Zassenhaus's own, and no
+    # Yun; g*h**2 over Q and over Q(sqrt2): one Yun, on the input, and the
+    # factors with multiplicity are sympy's
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    yun = _counting_yun(monkeypatch)
+    scans = _callers(monkeypatch, _intfactor, "zz_squarefree_primes")
+    g = qpoly(1, 0, 0, 0, 1) * qpoly(3, 1)  # (x^4 + 1)(x + 3)
+    h = qpoly(-2, 0, 1)
+    _, factors = factor_over_Q(g * h)
+    assert factors == [(qpoly(3, 1), 1), (h, 1), (qpoly(1, 0, 0, 0, 1), 1)]
+    assert scans == ["zz_factor_squarefree"] and yun == []
+    for K, t in ((QQ, sympy.S.One), (sqrt2_field(), sympy.sqrt(2))):
+        p = g * h * h if K.degree == 1 else K.poly((g * h * h).coeffs)
+        del yun[:]
+        _, factors = factor_over_K(K, p)
+        assert yun == [p.degree]
+        extension = {"extension": t} if K.degree > 1 else {}
+        _, ref = sympy.factor_list(sympy.expand(_sympy_expr(sympy, x, t, p)), x, **extension)
+        assert len(factors) == len(ref), K
+        unmatched = [(sympy.Poly(f, x, **extension).monic().as_expr(), m) for f, m in ref]
+        for w, m in factors:
+            ours = _sympy_expr(sympy, x, t, w)
+            [match] = [r for r in unmatched if r[1] == m and sympy.expand(r[0] - ours) == 0]
+            unmatched.remove(match)
 
 
 def _callers(monkeypatch, module, name):
@@ -523,11 +559,7 @@ def test_is_irreducible_matches_sympy():
         extension = {"extension": t} if K.degree > 1 else {}
         verdicts = set()
         for p in _irreducibility_cases(rng, K) + _rational_cases(rng):
-            expr = sum(
-                sympy.Rational(a) * t**j * x**i
-                for i, c in enumerate(p.coeffs)
-                for j, a in enumerate(c.coords if isinstance(c, NFElement) else [c])
-            )
+            expr = _sympy_expr(sympy, x, t, p)
             _, ref = sympy.factor_list(sympy.expand(expr), x, **extension)
             expected = len(ref) == 1 and ref[0][1] == 1
             assert is_irreducible(K, p) == expected, (K, p)

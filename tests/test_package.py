@@ -1,4 +1,5 @@
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -217,3 +218,49 @@ def test_no_global_caches():
         for name in _cached_functions(path.read_text())
     }
     assert found == _CACHES_ALLOWED
+
+
+# Module-level functions that no qrank module reads and __all__ does not
+# export.  They stay only because bench/spans.py patches them by name
+# (ROADMAP item 9).
+_UNREFERENCED_ALLOWED = {
+    ("_intfactor.py", "gf_factor_count"),
+    ("_intfactor.py", "gf_factor_squarefree"),
+    ("poly.py", "pow_mod"),
+}
+
+
+def _unreferenced_functions(sources: dict[str, str], exported: set[str]) -> set[tuple[str, str]]:
+    """(file, name) of each module-level function of the sources, keyed
+    by file name, that is not exported and that no source reads, as a
+    name or as an attribute, outside the function's own body."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+
+    def reads(node) -> list[str]:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)
+        ]
+
+    everywhere = collections.Counter(name for tree in trees.values() for name in reads(tree))
+    return {
+        (path, node.name)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in exported
+        and everywhere[node.name] == reads(node).count(node.name)
+    }
+
+
+def test_every_function_is_called_or_exported():
+    sample = {
+        "m.py": "def a(n): return a(n - 1)\ndef b(): return 1\ndef c(): return b()\n",
+        "n.py": "import m\ndef d(): return m.c()\ndef e(): pass\n",
+    }
+    assert _unreferenced_functions(sample, {"d"}) == {("m.py", "a"), ("n.py", "e")}
+    package = pathlib.Path(qrank.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unreferenced_functions(sources, set(qrank.__all__)) == _UNREFERENCED_ALLOWED
