@@ -3,9 +3,9 @@ rank rules for fixed fields of the named automorphisms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .arith import is_prime, perfect_power_exponent
 from .errors import (
     FrobeniusInCharZero,
@@ -16,37 +16,37 @@ from .errors import (
 from .groups import UNDEFINED, RankReport
 
 
-@dataclass(frozen=True)
-class CorrespondenceDegrees:
+class CorrespondenceDegrees(Record):
     """Degrees of the two finite dominant projections of a group
     correspondence; the ratio deg_rho/deg_pi is the multiplicative
     invariant everything else is built from."""
 
-    deg_pi: int
-    deg_rho: int
+    __slots__ = ("deg_pi", "deg_rho")
 
-    def __post_init__(self):
-        if self.deg_pi < 1 or self.deg_rho < 1:
+    def __init__(self, deg_pi: int, deg_rho: int):
+        if deg_pi < 1 or deg_rho < 1:
             raise NonPositive("projection degrees must be >= 1")
+        set_field(self, "deg_pi", deg_pi)
+        set_field(self, "deg_rho", deg_rho)
 
 
-@dataclass(frozen=True)
-class FixedFieldQuery:
+class FixedFieldQuery(Record):
     """Fixed field of sigma_{q0} composed with the m-th inverse
     Frobenius power, in the given characteristic (0 or a prime)."""
 
-    q0: Fraction
-    m: int
-    characteristic: int
+    __slots__ = ("q0", "m", "characteristic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q0", Fraction(self.q0))
-        if self.q0 == 0:
+    def __init__(self, q0: Fraction, m: int, characteristic: int):
+        q0 = Fraction(q0)
+        if q0 == 0:
             raise ZeroIndex("automorphism index q0 must be nonzero")
-        if self.characteristic != 0 and not is_prime(self.characteristic):
+        if characteristic != 0 and not is_prime(characteristic):
             raise NonPositive(
-                f"characteristic must be 0 or prime, got {self.characteristic}"
+                f"characteristic must be 0 or prime, got {characteristic}"
             )
+        set_field(self, "q0", q0)
+        set_field(self, "m", m)
+        set_field(self, "characteristic", characteristic)
 
 
 def degree_ratio(d: CorrespondenceDegrees) -> Fraction:

@@ -9,12 +9,14 @@ Exit codes: 0 ok, 2 validation failure (a theorem precondition does not
 hold), 3 budget exceeded, 4 parse error (malformed input), 5 internal
 error (an engine fault; the report names the exception type and its
 message).  No task raises an uncaught exception.
+
+argparse and json load only when main (or dump_report) runs, so that a
+caller of run_task, which takes and returns Python objects, does not pay
+for them at import.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
 from . import __version__, classify, groups, hereditary
@@ -247,12 +249,17 @@ def render_human(report: dict) -> str:
 
 
 def dump_report(report: dict, pretty: bool) -> str:
+    import json
+
     if pretty:
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+    import json
+
     parser = argparse.ArgumentParser(
         prog="qrank",
         description="Exact rank computations for companion-matrix group "

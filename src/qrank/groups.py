@@ -6,9 +6,8 @@ factor counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import config
+from ._record import Record, set_field
 from .errors import (
     NotMonic,
     ValidationFailed,
@@ -42,8 +41,7 @@ AMBIENTS = ("multiplicative", "cm_elliptic")
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class CompanionPresentation:
+class CompanionPresentation(Record):
     """A group cut out by (sigma g, ..., sigma^m g) = M * (g, ..., sigma^(m-1) g)
     for the companion matrix M of char_poly over the coefficient field.
 
@@ -52,25 +50,27 @@ class CompanionPresentation:
     ring and the characteristic polynomial.
     """
 
-    ring: NumberField
-    char_poly: Poly
-    ambient: str = "multiplicative"
+    __slots__ = ("ring", "char_poly", "ambient")
 
-    def __post_init__(self):
-        P = self.char_poly
+    def __init__(
+        self, ring: NumberField, char_poly: Poly, ambient: str = "multiplicative"
+    ):
+        P = char_poly
         if P.is_zero() or P.degree < 1:
             raise NotMonic("characteristic polynomial must have degree >= 1")
         if not all(isinstance(c, NFElement) for c in P.coeffs):
-            P = self.ring.poly(P.coeffs)
-            object.__setattr__(self, "char_poly", P)
+            P = ring.poly(P.coeffs)
         if not P.is_monic():
             raise NotMonic("characteristic polynomial must be monic")
         if P.coeffs[0] == 0:
             raise ZeroConstantTerm(
                 "P(0) = 0: the companion matrix is not invertible"
             )
-        if self.ambient not in AMBIENTS:
-            raise ValueError(f"unknown ambient tag {self.ambient!r}")
+        if ambient not in AMBIENTS:
+            raise ValueError(f"unknown ambient tag {ambient!r}")
+        set_field(self, "ring", ring)
+        set_field(self, "char_poly", P)
+        set_field(self, "ambient", ambient)
 
     @property
     def size(self) -> int:
@@ -91,17 +91,24 @@ class CompanionPresentation:
         return CompanionPresentation(ring, P, ambient)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record, hidden=("shift",)):
     """Necessary conditions for minimality and one-basedness; the
     underlying facts are one-directional, so no sufficiency is claimed.
     shift is the (s, shifted P, norm) at which the Trager shift proved P,
     of degree >= 2, irreducible, for the worklist's root to flatten at;
-    None otherwise.  It is neither compared nor serialized."""
+    None otherwise.  It is neither compared, printed nor serialized."""
 
-    irreducible_over_R: bool
-    root_of_unity_eigenvalue: bool
-    shift: tuple[int, Poly, Poly] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("irreducible_over_R", "root_of_unity_eigenvalue", "shift")
+
+    def __init__(
+        self,
+        irreducible_over_R: bool,
+        root_of_unity_eigenvalue: bool,
+        shift: tuple[int, Poly, Poly] | None = None,
+    ):
+        set_field(self, "irreducible_over_R", irreducible_over_R)
+        set_field(self, "root_of_unity_eigenvalue", root_of_unity_eigenvalue)
+        set_field(self, "shift", shift)
 
     @property
     def minimal_necessary(self) -> bool:
@@ -116,11 +123,13 @@ class ValidationReport:
         return self.minimal_necessary and self.one_based_necessary
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int | str  # a natural number, or UNDEFINED
-    method: str  # hereditary_factor_count | fixed_field_rule
-    witness: object = None
+class RankReport(Record):
+    __slots__ = ("rank", "method", "witness")
+
+    def __init__(self, rank: int | str, method: str, witness: object = None):
+        set_field(self, "rank", rank)  # a natural number, or UNDEFINED
+        set_field(self, "method", method)  # hereditary_factor_count | fixed_field_rule
+        set_field(self, "witness", witness)
 
 
 def validate(g: CompanionPresentation) -> ValidationReport:

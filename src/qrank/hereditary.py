@@ -45,10 +45,10 @@ irreducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import config
+from ._record import Record, set_field
 from .arith import perfect_power_exponent, primes_upto, rational_nth_root
 from .errors import (
     BudgetExceeded,
@@ -139,8 +139,7 @@ def has_root_of_unity_root(K: NumberField, P: Poly, norm: Poly | None = None) ->
     return False
 
 
-@dataclass(frozen=True)
-class HereditaryCertificate:
+class HereditaryCertificate(Record, hidden=("root",)):
     """Per-factor evidence.
 
     primes_tested lists the primes the scan went through, in order and
@@ -156,17 +155,40 @@ class HereditaryCertificate:
     that substitution.  root holds the element of K(alpha) that the scan
     proved, a Fraction when K(alpha) is Q: for a p-th power obstruction
     the beta with beta**p = alpha, for a minus-four obstruction the gamma
-    with -4*gamma**4 = alpha.  It is neither serialized nor compared.
+    with -4*gamma**4 = alpha.  It is neither serialized, compared nor
+    printed.
     """
 
-    factor: Poly
-    prime_bound: int
-    primes_tested: tuple[int, ...]
-    base_factor: Poly
-    obstruction: Obstruction | None = None
-    witnessed_split: tuple[Poly, ...] | None = None
-    lift_exponent: int = 1
-    root: NFElement | Fraction | None = field(default=None, compare=False, repr=False)
+    __slots__ = (
+        "factor",
+        "prime_bound",
+        "primes_tested",
+        "base_factor",
+        "obstruction",
+        "witnessed_split",
+        "lift_exponent",
+        "root",
+    )
+
+    def __init__(
+        self,
+        factor: Poly,
+        prime_bound: int,
+        primes_tested: tuple[int, ...],
+        base_factor: Poly,
+        obstruction: Obstruction | None = None,
+        witnessed_split: tuple[Poly, ...] | None = None,
+        lift_exponent: int = 1,
+        root: NFElement | Fraction | None = None,
+    ):
+        set_field(self, "factor", factor)
+        set_field(self, "prime_bound", prime_bound)
+        set_field(self, "primes_tested", primes_tested)
+        set_field(self, "base_factor", base_factor)
+        set_field(self, "obstruction", obstruction)
+        set_field(self, "witnessed_split", witnessed_split)
+        set_field(self, "lift_exponent", lift_exponent)
+        set_field(self, "root", root)
 
     @property
     def verdict(self) -> str:
@@ -181,15 +203,24 @@ class HereditaryCertificate:
         return self.obstruction is None or self.obstruction.kind == "minus_four"
 
 
-@dataclass(frozen=True)
-class HereditaryFactorization:
+class HereditaryFactorization(Record):
     """P(x**N) = product of hereditarily irreducible factors over K."""
 
-    field: NumberField
-    input: Poly
-    N: int
-    factors: tuple[Poly, ...]
-    certificates: tuple[HereditaryCertificate, ...]
+    __slots__ = ("field", "input", "N", "factors", "certificates")
+
+    def __init__(
+        self,
+        field: NumberField,
+        input: Poly,
+        N: int,
+        factors: tuple[Poly, ...],
+        certificates: tuple[HereditaryCertificate, ...],
+    ):
+        set_field(self, "field", field)
+        set_field(self, "input", input)
+        set_field(self, "N", N)
+        set_field(self, "factors", factors)
+        set_field(self, "certificates", certificates)
 
 
 def _unit_prime_bound(dL: int, ints: list[int], cap: int) -> int:
@@ -391,7 +422,7 @@ def capelli_certificate(K: NumberField, Q: Poly) -> HereditaryCertificate:
     cert = _power_test(K, Q.monic(), shift=shift)
     if cert.obstruction is None:
         return cert
-    return replace(cert, witnessed_split=tuple(_split(K, cert)))
+    return cert.replace(witnessed_split=tuple(_split(K, cert)))
 
 
 def hereditary_factorization(
@@ -455,8 +486,7 @@ def _worklist(
 
     lifted = sorted(
         (
-            replace(
-                cert,
+            cert.replace(
                 factor=substitute_power(cert.factor, N // acc),
                 lift_exponent=N // acc,
             )

@@ -13,11 +13,11 @@ view, built only for output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, product
 
 from . import _intfactor as zz, config
+from ._record import Record, set_field
 from .arith import is_prime
 from .errors import (
     DivisionByZero,
@@ -339,12 +339,14 @@ class NFElement:
 QQ = NumberField(Poly([0, 1]), trusted=True)
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """Why a polynomial fails to stay irreducible under x -> x**n."""
 
-    kind: str  # "pth_power" or "minus_four"
-    p: int | None = None
+    __slots__ = ("kind", "p")
+
+    def __init__(self, kind: str, p: int | None = None):
+        set_field(self, "kind", kind)  # "pth_power" or "minus_four"
+        set_field(self, "p", p)
 
     @staticmethod
     def pth_power(p: int) -> "Obstruction":
@@ -365,17 +367,17 @@ class Obstruction:
 # Factorization over Q
 
 
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm over a characteristic-zero field; f monic.
+def squarefree_decomposition(f: Poly, g: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm over a characteristic-zero field; f monic and
+    g = gcd(f, f'), its first step.
 
     Returns [(g_i, i)] with f = prod g_i**i, each g_i monic squarefree.
     _factor runs it only on an input that its field's factoring has
-    proved not squarefree.
+    proved not squarefree, and g is the gcd that proof took.
     """
     if f.degree < 1:
         return []
     out = []
-    g = gcd(f, f.derivative())
     c = divrem(f, g)[0]
     d = divrem(f.derivative(), g)[0] - c.derivative()
     i = 1
@@ -438,8 +440,9 @@ def _factor(K: NumberField, p: Poly) -> tuple[object, list[tuple[Poly, int]]]:
     """The front end shared by every field: leading coefficient, then the
     power of x, then the field's own factoring (_factor_squarefree), whose
     prime scan proves the rest squarefree.  Only when it proves the rest
-    not squarefree does Yun's squarefree_decomposition run, and each of
-    its parts is factored on its own.  Factors canonically sorted."""
+    not squarefree does Yun's squarefree_decomposition run, from the
+    gcd(f, f') of that proof, and each of its parts is factored on its
+    own.  Factors canonically sorted."""
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     content = p.leading
@@ -456,12 +459,13 @@ def _factor(K: NumberField, p: Poly) -> tuple[object, list[tuple[Poly, int]]]:
         one = f.leading
         factors.append((Poly([one * 0, one]), k))
     if f.degree > 0:
-        split = _factor_squarefree(K, f)
-        if split is not None:
-            factors.extend((w, 1) for w in split)
-        else:
-            for g, mult in squarefree_decomposition(f):
+        try:
+            split = _factor_squarefree(K, f)
+        except _NotSquarefree as exc:
+            for g, mult in squarefree_decomposition(f, exc.gcd):
                 factors.extend((w, mult) for w in _factor_squarefree(K, g))
+        else:
+            factors.extend((w, 1) for w in split)
     return content, sorted_factors(factors)
 
 
@@ -623,6 +627,15 @@ def factor_over_K(
     return _factor(K, p)
 
 
+class _NotSquarefree(NotIrreducible):
+    """g is not squarefree; gcd is gcd(g, g'), from which Yun's algorithm
+    goes on."""
+
+    def __init__(self, g: Poly, w: Poly):
+        super().__init__(f"{g!r} is not squarefree")
+        self.gcd = w
+
+
 def _trager_shift(
     K: NumberField, g: Poly, factor: bool = False, norm0: Poly | None = None
 ) -> tuple[int, Poly, Poly, list[list[int]] | None]:
@@ -645,11 +658,12 @@ def _trager_shift(
     gcd(N, N') decide; with factor, an N it proves squarefree is then
     factored with the scan unbounded.  When the first shift fails, one
     gcd(g, g') tells a bad shift from a repeated factor of g, and a g
-    that is not squarefree raises NotIrreducible at once.  Over Q the
-    first failure is final, since the norm is g.  When K != Q and every
-    coefficient of g is rational, the search starts at s = 1.  So
-    NotIrreducible is raised exactly when g is not squarefree, which is
-    how _factor_squarefree tells _factor to run Yun.
+    that is not squarefree raises _NotSquarefree at once, carrying that
+    gcd.  Over Q the first failure is final, since the norm is g and
+    gcd(N, N') is gcd(g, g').  When K != Q and every coefficient of g is
+    rational, the search starts at s = 1.  So _NotSquarefree is raised
+    exactly when g is not squarefree; it passes through
+    _factor_squarefree to _factor, which then runs Yun from its gcd.
     """
     # rational g has norm g**[K:Q] at s = 0, which is never squarefree
     rational = K.degree > 1 and all(c.is_rational() for c in g.coeffs)
@@ -665,31 +679,32 @@ def _trager_shift(
         if factor:
             f = _to_primitive_int(norm)
             factors = zz.zz_factor_squarefree(f, within=(_CERT_PRIMES, _CERT_PAIRS))
-            if factors is None and gcd(norm, norm.derivative()).degree == 0:
-                factors = zz.zz_factor_squarefree(f)
             if factors is not None:
                 return s, gs, norm, factors
-        elif _certified_squarefree(norm) or gcd(norm, norm.derivative()).degree == 0:
+        elif _certified_squarefree(norm):
             return s, gs, norm, None
-        if s == first and (K.degree == 1 or gcd(g, g.derivative()).degree > 0):
-            break
-    raise NotIrreducible(f"{g!r} is not squarefree")
+        w = gcd(norm, norm.derivative())
+        if w.degree == 0:
+            return s, gs, norm, zz.zz_factor_squarefree(f) if factor else None
+        if s == first:
+            if K.degree > 1:
+                w = gcd(g, g.derivative())
+            if w.degree > 0:
+                raise _NotSquarefree(g, w)
+    raise RuntimeError(f"no squarefree Trager norm for {g!r}")
 
 
-def _factor_squarefree(K: NumberField, g: Poly) -> list[Poly] | None:
-    """Monic irreducible factors over K of a monic g, or None exactly when
-    g is not squarefree.  Over Q the norm is g itself: its factors from
-    the one Zassenhaus call of _trager_shift at s = 0, with coefficients
-    of the same kind as g's (Fractions, or elements of g's degree-1
-    field).  Over K != Q, Trager's method: the factors over Q of the
-    squarefree norm of g(x - s*theta), each taken back to K by a gcd with
-    the shifted g and shifted back."""
+def _factor_squarefree(K: NumberField, g: Poly) -> list[Poly]:
+    """Monic irreducible factors over K of a monic g; _NotSquarefree from
+    _trager_shift exactly when g is not squarefree.  Over Q the norm is g
+    itself: its factors from the one Zassenhaus call of _trager_shift at
+    s = 0, with coefficients of the same kind as g's (Fractions, or
+    elements of g's degree-1 field).  Over K != Q, Trager's method: the
+    factors over Q of the squarefree norm of g(x - s*theta), each taken
+    back to K by a gcd with the shifted g and shifted back."""
     if K.degree > 1 and g.degree == 1:
         return [g.monic()]
-    try:
-        s, gs, _, norm_factors = _trager_shift(K, g, factor=True)
-    except NotIrreducible:
-        return None
+    s, gs, _, norm_factors = _trager_shift(K, g, factor=True)
     if K.degree == 1:
         F = g.leading.field if isinstance(g.leading, NFElement) else None
         return [
@@ -717,14 +732,16 @@ def _factor_squarefree(K: NumberField, g: Poly) -> list[Poly] | None:
 # Tower flattening
 
 
-@dataclass
-class FlattenedExtension:
+class FlattenedExtension(Record):
     """L = Q[u]/(g), isomorphic to K(alpha) for a root alpha of Q over K,
     and the Trager shift s that gave g: L.gen = alpha + s*theta."""
 
-    field: NumberField
-    alpha: NFElement
-    shift: int
+    __slots__ = ("field", "alpha", "shift")
+
+    def __init__(self, field: NumberField, alpha: NFElement, shift: int):
+        set_field(self, "field", field)
+        set_field(self, "alpha", alpha)
+        set_field(self, "shift", shift)
 
 
 def flatten(

@@ -10,10 +10,10 @@ an empty coefficient tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import config
+from ._record import Record, set_field
 from .errors import BothZero, DivisionByZero, NotMonic, ZeroPolynomial
 
 
@@ -207,8 +207,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
+class CompanionMatrix(Record):
     """Companion matrix in the convention P(x) = x**m - sum c_j x**(j-1).
 
     Only the last row (c_1 ... c_m) is stored; the superdiagonal is 1 and
@@ -216,14 +215,15 @@ class CompanionMatrix:
     invertible, since P(0) = -c_1.
     """
 
-    size: int
-    last_row: tuple
+    __slots__ = ("size", "last_row")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, last_row: tuple):
+        if size < 1:
             raise ValueError("companion matrix needs size >= 1")
-        if len(self.last_row) != self.size:
+        if len(last_row) != size:
             raise ValueError("last_row length must equal size")
+        set_field(self, "size", size)
+        set_field(self, "last_row", last_row)
 
     def entry(self, i: int, j: int):
         """Entry at 1-indexed position (i, j)."""

@@ -360,9 +360,9 @@ def _counting_yun(monkeypatch):
     calls = []
     original = numfield.squarefree_decomposition
 
-    def counting(f):
+    def counting(f, g):
         calls.append(f.degree)
-        return original(f)
+        return original(f, g)
 
     monkeypatch.setattr(numfield, "squarefree_decomposition", counting)
     return calls
@@ -413,7 +413,8 @@ def test_squarefree_certificate_is_sound_and_yun_matches_reference():
             g = _random_monic(rng, K, rng.randint(1, 3))
             h = _random_monic(rng, K, rng.randint(1, 2))
             for f in (g * h * h, g * h):
-                assert squarefree_decomposition(f) == squarefree_decomposition_reference(f)
+                yun = squarefree_decomposition(f, gcd(f, f.derivative()))
+                assert yun == squarefree_decomposition_reference(f)
             if K is QQ:
                 assert not numfield._certified_squarefree(g * h * h)
                 if numfield._certified_squarefree(g * h):
@@ -444,7 +445,6 @@ def test_factoring_proves_squarefree_once_and_runs_yun_only_when_it_fails(monkey
     # Yun; g*h**2 over Q and over Q(sqrt2): one Yun, on the input, and the
     # factors with multiplicity are sympy's
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     yun = _counting_yun(monkeypatch)
     scans = _callers(monkeypatch, _intfactor, "zz_squarefree_primes")
     g = qpoly(1, 0, 0, 0, 1) * qpoly(3, 1)  # (x^4 + 1)(x + 3)
@@ -457,14 +457,50 @@ def test_factoring_proves_squarefree_once_and_runs_yun_only_when_it_fails(monkey
         del yun[:]
         _, factors = factor_over_K(K, p)
         assert yun == [p.degree]
-        extension = {"extension": t} if K.degree > 1 else {}
-        _, ref = sympy.factor_list(sympy.expand(_sympy_expr(sympy, x, t, p)), x, **extension)
-        assert len(factors) == len(ref), K
-        unmatched = [(sympy.Poly(f, x, **extension).monic().as_expr(), m) for f, m in ref]
-        for w, m in factors:
-            ours = _sympy_expr(sympy, x, t, w)
-            [match] = [r for r in unmatched if r[1] == m and sympy.expand(r[0] - ours) == 0]
-            unmatched.remove(match)
+        _assert_sympy_factors(sympy, K, t, p, factors)
+
+
+def _assert_sympy_factors(sympy, K, t, p, factors):
+    """The monic factors with multiplicity of p over K, t = K's generator,
+    are sympy's factor_list."""
+    x = sympy.Symbol("x")
+    extension = {"extension": t} if K.degree > 1 else {}
+    _, ref = sympy.factor_list(sympy.expand(_sympy_expr(sympy, x, t, p)), x, **extension)
+    assert len(factors) == len(ref), K
+    unmatched = [(sympy.Poly(f, x, **extension).monic().as_expr(), m) for f, m in ref]
+    for w, m in factors:
+        ours = _sympy_expr(sympy, x, t, w)
+        [match] = [r for r in unmatched if r[1] == m and sympy.expand(r[0] - ours) == 0]
+        unmatched.remove(match)
+
+
+def test_factoring_takes_each_gcd_once_on_input_that_is_not_squarefree(monkeypatch):
+    # the gcd(f, f') by which the Trager shift proves f not squarefree is
+    # handed to Yun as its first step, not taken again: over Q(i), the
+    # norm's gcd and gcd(f, f') once each; over Q, where the norm is f,
+    # gcd(f, f') once
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    original = numfield.gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(numfield, "gcd", counting)
+    Qi = gaussian_field()
+    w = Poly([-Qi.gen, Qi.one])
+    f = w * w * Qi.poly([2, 1])  # (x - i)^2 (x + 2)
+    _, factors = factor_over_K(Qi, f)
+    assert (f, f.derivative()) in calls
+    assert len(set(calls)) == len(calls)
+    _assert_sympy_factors(sympy, Qi, sympy.I, f, factors)
+    del calls[:]
+    f = qpoly(1, 0, 1) * qpoly(1, 0, 1) * qpoly(2, 1)  # (x^2 + 1)^2 (x + 2)
+    _, factors = factor_over_Q(f)
+    assert (f, f.derivative()) in calls
+    assert len(set(calls)) == len(calls)
+    _assert_sympy_factors(sympy, QQ, sympy.S.One, f, factors)
 
 
 def _callers(monkeypatch, module, name):

@@ -1,11 +1,22 @@
 import ast
 import collections
+import copy
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import qrank
+from qrank.classify import CorrespondenceDegrees, FixedFieldQuery
+from qrank.errors import NonPositive, ZeroIndex
+from qrank.groups import ValidationReport
+from qrank.hereditary import HereditaryCertificate
+from qrank.numfield import FlattenedExtension, Obstruction
+from qrank.poly import CompanionMatrix, Poly
 
 
 def test_star_import_resolves_every_public_name():
@@ -17,8 +28,9 @@ def test_star_import_resolves_every_public_name():
 
 _IMPORTS_SCRIPT = """
 import sys
-before = {name.partition(".")[0] for name in sys.modules}
+before = set(sys.modules)
 from qrank.cli import COMMANDS, run_task
+imported = set(sys.modules)
 P = {"ring": "Q", "char_poly": {"coeffs": ["-9", "1"]}}
 Qi = {"min_poly": {"coeffs": ["1", "0", "1"]}}
 tasks = {
@@ -35,14 +47,16 @@ assert sorted(tasks) == sorted(COMMANDS)
 for command, payload in tasks.items():
     report, code = run_task(command, payload)
     assert code == 0, report
-after = {name.partition(".")[0] for name in sys.modules}
+after = set(sys.modules)
+print(" ".join(sorted(imported - before)))
 print(" ".join(sorted(after - before)))
 """
 
 
-def test_engine_loads_only_stdlib():
-    # one task of each command in a fresh interpreter; modules loaded
-    # before qrank (site hooks) are left out of the comparison
+def _fresh_imports() -> tuple[set[str], set[str]]:
+    """The modules a fresh interpreter loads by importing qrank.cli, and
+    those it has loaded once one task of each command has run; modules
+    loaded before qrank (site hooks) are left out."""
     src = str(pathlib.Path(qrank.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -52,9 +66,86 @@ def test_engine_loads_only_stdlib():
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
-    foreign = {m for m in out if m not in sys.stdlib_module_names}
+    ).stdout.splitlines()
+    imported, after = (set(line.split()) for line in out)
+    return imported, after
+
+
+def test_engine_loads_only_stdlib():
+    _, after = _fresh_imports()
+    foreign = {m.partition(".")[0] for m in after} - set(sys.stdlib_module_names)
     assert foreign == {"qrank"}
+
+
+# Modules the engine and run_task do without: dataclasses brings in
+# inspect, ast, dis and tokenize, and argparse and json serve only main.
+_NOT_IMPORTED = {"dataclasses", "inspect", "argparse", "json"}
+
+
+def test_cli_import_and_tasks_skip_dataclasses_argparse_and_json():
+    imported, after = _fresh_imports()
+    assert "qrank.cli" in imported
+    assert imported & _NOT_IMPORTED == set()
+    assert after & _NOT_IMPORTED == set()
+
+
+def test_records_compare_hash_print_and_replace_by_their_fields():
+    # a hidden field (the proof a record carries) is left out of equality,
+    # hash and repr, and replace keeps every field it is not given
+    shift = (1, Poly([Fraction(1), Fraction(1)]), Poly([Fraction(1)]))
+    report = ValidationReport(True, False, shift=shift)
+    assert report == ValidationReport(True, False)
+    assert hash(report) == hash(ValidationReport(True, False))
+    assert report != ValidationReport(True, True)
+    assert repr(report) == (
+        "ValidationReport(irreducible_over_R=True, root_of_unity_eigenvalue=False)"
+    )
+    Q = Poly([Fraction(-8), Fraction(1)])
+    cert = HereditaryCertificate(
+        Q, 3, (2, 3), Q, Obstruction.pth_power(3), root=Fraction(2)
+    )
+    other = HereditaryCertificate(Q, 3, (2, 3), Q, Obstruction.pth_power(3))
+    assert cert == other and hash(cert) == hash(other)
+    assert "root" not in repr(cert) and repr(cert) == repr(other)
+    split = (Poly([Fraction(-2), Fraction(1)]),)
+    replaced = cert.replace(witnessed_split=split)
+    assert replaced.witnessed_split == split and replaced.root == Fraction(2)
+    assert replaced == HereditaryCertificate(
+        Q, 3, (2, 3), Q, Obstruction.pth_power(3), witnessed_split=split
+    )
+    assert cert.witnessed_split is None
+    ext = FlattenedExtension(None, Fraction(1), 0)
+    for record, name in (
+        (report, "shift"),
+        (cert, "factor"),
+        (cert, "root"),
+        (ext, "shift"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del cert.prime_bound
+    # copy and pickle keep every field, hidden ones included
+    for record in (report, cert):
+        for clone in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert clone == record and hash(clone) == hash(record)
+            assert all(
+                getattr(clone, f) == getattr(record, f) for f in record.__slots__
+            )
+    assert pickle.loads(pickle.dumps(report)).shift == shift
+    assert copy.deepcopy(cert).root == Fraction(2)
+    # validation runs in each record's own __init__
+    with pytest.raises(ValueError):
+        CompanionMatrix(0, ())
+    with pytest.raises(NonPositive):
+        CorrespondenceDegrees(0, 1)
+    with pytest.raises(ZeroIndex):
+        FixedFieldQuery(0, 0, 0)
+    assert FixedFieldQuery(2, 1, 0).q0 == Fraction(2)
 
 
 def _unused_imports(source: str) -> list[str]:
