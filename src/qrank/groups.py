@@ -14,17 +14,8 @@ from .errors import (
     ZeroConstantTerm,
     ZeroPolynomial,
 )
-from .hereditary import (
-    _worklist,
-    has_root_of_unity_root,
-    hereditary_factorization,
-)
-from .numfield import (
-    NFElement,
-    NumberField,
-    _irreducible_shift,
-    norm_at_shift_zero,
-)
+from .hereditary import _check, _worklist, hereditary_factorization
+from .numfield import NFElement, NumberField
 from .poly import (
     CompanionMatrix,
     Poly,
@@ -134,20 +125,12 @@ class RankReport(Record):
 
 def validate(g: CompanionPresentation) -> ValidationReport:
     """Check the eigenvalue conditions: characteristic polynomial
-    irreducible over the ring, and no root-of-unity eigenvalue.  P is
-    held to the degree cap before it is factored, and both tests read
-    one norm of P at shift 0.  A linear P is irreducible; otherwise
-    _irreducible_shift decides, and the shift that proves P irreducible
-    is kept in the report."""
-    R, P = g.ring, g.char_poly
-    config.check_degree(P.degree, 1)
-    norm = norm_at_shift_zero(R, P)
-    shift = _irreducible_shift(R, P, norm) if P.degree >= 2 else None
-    return ValidationReport(
-        irreducible_over_R=P.degree == 1 or shift is not None,
-        root_of_unity_eigenvalue=has_root_of_unity_root(R, P, norm),
-        shift=shift,
-    )
+    irreducible over the ring, and no root-of-unity eigenvalue.  The
+    check is hereditary._check, the one the hereditary entry points run:
+    P is held to the degree cap before it is factored, both tests read
+    one norm of P at shift 0, and the shift that proves P irreducible is
+    kept in the report."""
+    return ValidationReport(*_check(g.ring, g.char_poly))
 
 
 def prolong(g: CompanionPresentation, n: int) -> CompanionPresentation:

@@ -36,7 +36,8 @@ with nothing factored: x**4 + 4*gamma**4 is
 (Schinzel, Polynomials with special regard to reducibility, section
 2.1), and each quadratic splits further exactly when -1 is a square.
 
-Each check of the input builds its Trager norm at shift 0 once
+The input is checked by one function, _check, for groups.validate and
+for the entry points here: it builds the Trager norm at shift 0 once
 (norm_at_shift_zero) for both the irreducibility and the root-of-unity
 test, and the worklist's root is flattened at the shift that proved it
 irreducible.
@@ -380,26 +381,35 @@ def _split(K: NumberField, cert: HereditaryCertificate) -> list[Poly]:
     return out
 
 
+def _check(K: NumberField, Q: Poly) -> tuple[bool, bool, tuple[int, Poly, Poly] | None]:
+    """The check of a monic Q of degree >= 1 over K, as (irreducible,
+    root_of_unity, shift).  Q is held to the degree cap before it is
+    factored, and both tests read one norm of Q at shift 0.  A linear Q
+    is irreducible; otherwise _irreducible_shift decides, and shift is
+    the Trager shift that proved Q irreducible, for flatten, None
+    otherwise.  validate reports the verdict and _check_preconditions
+    raises on it."""
+    config.check_degree(Q.degree, 1)
+    norm = norm_at_shift_zero(K, Q)
+    shift = _irreducible_shift(K, Q, norm) if Q.degree > 1 else None
+    return Q.degree == 1 or shift is not None, has_root_of_unity_root(K, Q, norm), shift
+
+
 def _check_preconditions(K: NumberField, Q: Poly) -> tuple[int, Poly, Poly] | None:
     """Raise unless Q is irreducible over K with Q(0) != 0 and no
-    root-of-unity root.  Both tests read one norm of the monic Q at shift
-    0; the Trager shift that proved Q irreducible is returned for
-    flatten, None for a linear Q."""
+    root-of-unity root, irreducibility first, by _check on the monic Q;
+    the Trager shift that proved Q irreducible is returned for flatten,
+    None for a linear Q."""
     if Q.is_zero():
         raise ZeroPolynomial("zero polynomial")
     if Q.degree < 1:
         raise NotIrreducible("constant polynomial")
     if Q.coeffs[0] == 0:
         raise ZeroConstantTerm("zero constant term: x divides the input")
-    config.check_degree(Q.degree, 1)
-    Q = Q.monic()
-    norm = norm_at_shift_zero(K, Q)
-    shift = None
-    if Q.degree > 1:
-        shift = _irreducible_shift(K, Q, norm)
-        if shift is None:
-            raise NotIrreducible("reducible over the base field")
-    if has_root_of_unity_root(K, Q, norm):
+    irreducible, root_of_unity, shift = _check(K, Q.monic())
+    if not irreducible:
+        raise NotIrreducible("reducible over the base field")
+    if root_of_unity:
         raise RootOfUnity("some root is a root of unity")
     return shift
 

@@ -36,10 +36,12 @@ class NumberField:
     polynomial is already known irreducible (internal callers).  Besides
     min_poly, the field keeps m and its reduction rows (the coordinates
     of t**(d+i) mod m, i = 0..d-2) as integer vectors over one positive
-    denominator each, which is what element arithmetic reads.
+    denominator each, which is what element arithmetic reads, and the
+    simple roots of m mod l for each prime l that _simple_roots was asked
+    for, which the residue sieve and the l-adic lift read.
     """
 
-    __slots__ = ("min_poly", "degree", "_int_poly", "_red_rows", "_scan")
+    __slots__ = ("min_poly", "degree", "_int_poly", "_red_rows", "_roots")
 
     def __init__(self, min_poly: Poly, trusted: bool = False):
         coeffs = [_exact(c) for c in min_poly.coeffs]
@@ -65,7 +67,7 @@ class NumberField:
             cur = _times_gen(cur, m, den)
             rows.append([x * den ** (d - 2 - i) for x in cur])
         self._red_rows = (rows, den ** max(d - 1, 0))
-        self._scan: list[tuple[int, list[int]]] = []
+        self._roots: dict[int, list[int]] = {}
 
     @property
     def gen(self) -> NFElement:
@@ -75,18 +77,6 @@ class NumberField:
             # Q[t]/(t - c): the generator is the rational c itself.
             return -self.from_rational(self.min_poly.coeffs[0])
         return NFElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
-
-    def _certificate_primes(self):
-        """(l, roots) for the first _CERT_PRIMES primes l (2 to 53), with
-        the simple roots r of m mod l from _simple_roots: the primes from
-        which _lifted_roots picks the one it lifts at.  Each entry is
-        computed once, when a caller first reads that far."""
-        scan = self._scan
-        primes = filter(is_prime, count(2))
-        for i, ell in enumerate(islice(primes, _CERT_PRIMES)):
-            if i == len(scan):
-                scan.append((ell, _simple_roots(self, ell)))
-            yield scan[i]
 
     def element(self, coords) -> NFElement:
         cs = [_exact(c) for c in coords]
@@ -395,7 +385,7 @@ def squarefree_decomposition(f: Poly, g: Poly) -> list[tuple[Poly, int]]:
 # and in the Trager shift's Zassenhaus scan: primes scanned, and primes
 # with a repeated factor mod p before the scan gives up, so that a
 # failure stays cheap.  The l-adic lift picks its prime among the first
-# _CERT_PRIMES primes (_certificate_primes)
+# _CERT_PRIMES primes (_lifted_roots)
 _CERT_PRIMES = 16
 _CERT_PAIRS = 6
 
@@ -480,13 +470,12 @@ def factor_over_Q(p: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     return Fraction(content), factors
 
 
-def is_irreducible(K: NumberField, p: Poly, norm: Poly | None = None) -> bool:
+def is_irreducible(K: NumberField, p: Poly) -> bool:
     """Whether p is irreducible over K: one factor, multiplicity one.
 
     A linear p is irreducible and a constant is not.  Otherwise
     _trager_shift finds a shift s for which the norm N of the monic
-    p(x - s*theta) is squarefree, or proves p not squarefree; norm, when
-    given, is N at s = 0 (norm_at_shift_zero), not built again.  Trager's
+    p(x - s*theta) is squarefree, or proves p not squarefree.  Trager's
     lemma (Trager 1976, "Algebraic factoring and rational function
     integration"; Cohen, GTM 138, section 3.6.2): when N is squarefree,
     p factors over K as N factors over Q.  For an irreducible factor w
@@ -504,7 +493,7 @@ def is_irreducible(K: NumberField, p: Poly, norm: Poly | None = None) -> bool:
         raise ZeroPolynomial("irreducibility test on the zero polynomial")
     if p.degree < 2:
         return p.degree == 1
-    return _irreducible_shift(K, p, norm) is not None
+    return _irreducible_shift(K, p) is not None
 
 
 def _irreducible_shift(
@@ -824,21 +813,31 @@ def _simple_roots(K: NumberField, ell: int) -> list[int]:
     Computer Algebra, section 14.2), found already split in two by
     h = x**((l-1)/2) mod m, 1 at the nonzero squares and -1 at the other
     nonzero residues: gcd(m, h -+ 1) / gcd(., m'), each split by
-    _intfactor.gf_linear_roots."""
+    _intfactor.gf_linear_roots.
+
+    Each (K, l) is computed once: the roots are kept in K._roots, which
+    lives as long as K.  No path reaches here with a degree-1 field, so
+    the shared QQ keeps none."""
+    roots = K._roots.get(ell)
+    if roots is not None:
+        return roots
     m, e = K._int_poly
-    if e % ell == 0:
-        return []
-    m_ell = zz.gf_from_zz(_reduce(m, e, ell), ell)
-    dm = zz.gf_diff(m_ell, ell)
-    if ell * K.degree <= _ROOT_SCAN or ell == 2:
-        return [r for r in range(ell) if not _horner(m_ell, r, ell) and _horner(dm, r, ell)]
-    h = zz.gf_pow_mod([0, 1], (ell - 1) // 2, m_ell, ell)
-    roots = [0] if not m_ell[0] and m_ell[1] else []
-    for s in (1, ell - 1):
-        g = zz.gf_gcd(m_ell, zz.gf_sub(h, [s], ell), ell)
-        if len(g) > 1:
-            roots += zz.gf_linear_roots(zz.gf_divmod(g, zz.gf_gcd(g, dm, ell), ell)[0], ell)
-    return sorted(roots)
+    roots = []
+    if e % ell:
+        m_ell = zz.gf_from_zz(_reduce(m, e, ell), ell)
+        dm = zz.gf_diff(m_ell, ell)
+        if ell * K.degree <= _ROOT_SCAN or ell == 2:
+            roots = [r for r in range(ell) if not _horner(m_ell, r, ell) and _horner(dm, r, ell)]
+        else:
+            h = zz.gf_pow_mod([0, 1], (ell - 1) // 2, m_ell, ell)
+            roots = [0] if not m_ell[0] and m_ell[1] else []
+            for s in (1, ell - 1):
+                g = zz.gf_gcd(m_ell, zz.gf_sub(h, [s], ell), ell)
+                if len(g) > 1:
+                    roots += zz.gf_linear_roots(zz.gf_divmod(g, zz.gf_gcd(g, dm, ell), ell)[0], ell)
+            roots.sort()
+    K._roots[ell] = roots
+    return roots
 
 
 def _residue_sieve_rejects(L: NumberField, a: NFElement, n: int) -> bool:
@@ -906,9 +905,10 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
     lifting, as [beta] with beta**n == b proved; [] when a residue proves
     there is none; None when this route settles nothing.
 
-    The prime l comes from L._certificate_primes: m = L.min_poly has
-    d = [L:Q] simple roots r mod l, l divides neither n nor a denominator
-    of b, and b(r) != 0 (mod l) at every root.  A root beta is integral
+    The prime l is among the first _CERT_PRIMES primes (2 to 53): m =
+    L.min_poly has d = [L:Q] simple roots r mod l (_simple_roots), l
+    divides neither n nor a denominator of b, and b(r) != 0 (mod l) at
+    every root.  A root beta is integral
     over Z_(l), as b is, so its residue s at each prime (l, u - r) of
     _simple_roots has s**n = b(r): if some b(r) has no n-th root in GF(l),
     found by trying residues, there is no beta.  Otherwise the roots of m
@@ -921,7 +921,8 @@ def _lifted_roots(L: NumberField, b: NFElement, n: int) -> list[NFElement] | Non
     so the value at the first root is tried up to sign.
     """
     d = L.degree
-    for ell, roots in L._certificate_primes():
+    for ell in islice(filter(is_prime, count(2)), _CERT_PRIMES):
+        roots = _simple_roots(L, ell)
         if len(roots) < d or n % ell == 0 or b.den % ell == 0:
             continue
         b_ell = _reduce(b.num, b.den, ell)

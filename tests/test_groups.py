@@ -12,10 +12,13 @@ from helpers import (
     sqrt2_field,
     sqrtm3_field,
 )
+from qrank import hereditary
 from qrank.classify import rationality_exponent
 from qrank.errors import (
     BudgetExceeded,
+    NotIrreducible,
     NotMonic,
+    RootOfUnity,
     ValidationFailed,
     ZeroConstantTerm,
     ZeroPolynomial,
@@ -65,6 +68,70 @@ def test_validate_examples():
     r = validate(pres(1, -4, 1))
     assert r.irreducible_over_R and not r.root_of_unity_eigenvalue
     assert r.passes
+
+
+def _entry_point_inputs(rng, K):
+    """Monic P over K: random of degree 1-4 with small coordinates and
+    P(0) != 0, products of two such, products with a cyclotomic factor,
+    cyclotomics alone, and three of the random ones multiplied by x."""
+    def random_monic(deg):
+        while True:
+            coeffs = [K.element([rng.randint(-3, 3) for _ in range(K.degree)]) for _ in range(deg)]
+            if coeffs[0]:
+                return K.poly([*coeffs, 1])
+
+    cyclotomics = [K.poly(c) for c in ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1])]
+    inputs = [random_monic(rng.randint(1, 4)) for _ in range(8)]
+    inputs += [random_monic(rng.randint(1, 2)) * random_monic(rng.randint(1, 2)) for _ in range(4)]
+    inputs += [P * rng.choice(cyclotomics) for P in inputs[:4]] + cyclotomics
+    return inputs + [Poly([K.zero, *P.coeffs]) for P in inputs[:3]]
+
+
+def _outcome(run):
+    try:
+        run()
+    except (NotIrreducible, RootOfUnity, ZeroConstantTerm) as exc:
+        return type(exc)
+    return None
+
+
+def test_every_entry_point_gets_the_one_verdict(monkeypatch):
+    # validate against hereditary_factorization and capelli_certificate:
+    # a passing report means no exception, a reducible P NotIrreducible
+    # (checked first), an irreducible P with a root-of-unity root
+    # RootOfUnity, and where both pass the worklist's root is flattened
+    # at the shift that validate proved P irreducible at
+    shifts = []
+    original = hereditary._power_test
+
+    def recording(K, Q, m=0, shift=None):
+        shifts.append(shift)
+        return original(K, Q, m, shift)
+
+    monkeypatch.setattr(hereditary, "_power_test", recording)
+    rng = random.Random(34)
+    seen = set()
+    for K in (QQ, gaussian_field(), sqrt2_field(), sqrtm3_field()):
+        for P in _entry_point_inputs(rng, K):
+            if P.coeffs[0] == 0:
+                expected, report = ZeroConstantTerm, None
+                assert _outcome(lambda: CompanionPresentation(K, P)) is ZeroConstantTerm
+            else:
+                report = validate(CompanionPresentation(K, P))
+                expected = (
+                    NotIrreducible if not report.irreducible_over_R
+                    else RootOfUnity if report.root_of_unity_eigenvalue
+                    else None
+                )
+            seen.add(expected)
+            for entry in (hereditary.hereditary_factorization, hereditary.capelli_certificate):
+                shifts.clear()
+                assert _outcome(lambda: entry(K, P)) is expected, (K, P, entry)
+                if expected is None:
+                    assert shifts[0] == report.shift, (K, P, entry)
+    assert seen == {None, NotIrreducible, RootOfUnity, ZeroConstantTerm}
+    # QQ, shared by every request, keeps no simple roots mod l
+    assert QQ._roots == {}
 
 
 def test_prolong_examples():

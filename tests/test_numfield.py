@@ -383,6 +383,10 @@ def test_factor_over_K_runs_yun_once(monkeypatch):
     assert calls == [3]
 
 
+# the first _CERT_PRIMES primes, among which the l-adic lift picks its l
+_LIFT_PRIMES = primes_upto(53)
+
+
 def _certificate_fields():
     return [
         QQ,
@@ -437,7 +441,7 @@ def test_squarefree_certificate_skips_denominators_and_vanishing_leads():
     # t**3 + t/2 - 1/3: l = 2 and 3 divide denominators of m, so the
     # l-adic lift finds no root there
     K = _certificate_fields()[-1]
-    assert [roots for _, roots in K._certificate_primes()][:2] == [[], []]
+    assert [numfield._simple_roots(K, ell) for ell in _LIFT_PRIMES[:2]] == [[], []]
 
 
 def test_factoring_proves_squarefree_once_and_runs_yun_only_when_it_fails(monkeypatch):
@@ -1331,13 +1335,39 @@ def _cubic_with_double_root_mod_3():
 
 def test_simple_roots_both_routes_agree(monkeypatch):
     # trying every residue against gcd(m, x**l - x) / gcd(., m') split by
-    # quadratic characters, for every l below 2**11
-    for L in [*sieve_fields(), _cubic_with_double_root_mod_3()]:
-        for ell in primes_upto(2**11):
-            monkeypatch.setattr(numfield, "_ROOT_SCAN", 2**11 * L.degree)
-            by_residues = numfield._simple_roots(L, ell)
-            monkeypatch.setattr(numfield, "_ROOT_SCAN", 0)
-            assert numfield._simple_roots(L, ell) == by_residues, (L, ell)
+    # quadratic characters, for every l below 2**11 (l*[L:Q] < 2**13);
+    # each route runs on fields of its own, as a field keeps its roots
+    roots = collections.defaultdict(list)
+    for scan in (2**13, 0):
+        monkeypatch.setattr(numfield, "_ROOT_SCAN", scan)
+        for i, L in enumerate([*sieve_fields(), _cubic_with_double_root_mod_3()]):
+            for ell in primes_upto(2**11):
+                roots[i, ell].append(numfield._simple_roots(L, ell))
+    assert [key for key, (a, b) in roots.items() if a != b] == []
+
+
+def test_simple_roots_are_computed_once_per_field_and_prime(monkeypatch):
+    # the sieve and the lift for p = 2, 3, 5 on one field scan
+    # overlapping primes l: m mod l is reduced by the first _simple_roots
+    # call for that l only, and the later calls read the field's roots
+    L = sqrt2_field()
+    reduced = collections.Counter()
+    original = numfield._reduce
+
+    def counting(num, den, mod):
+        if sys._getframe(1).f_code.co_name == "_simple_roots":
+            reduced[mod] += 1
+        return original(num, den, mod)
+
+    monkeypatch.setattr(numfield, "_reduce", counting)
+    beta = L.element([Fraction(3, 7), Fraction(-2, 5)])
+    for p in (2, 3, 5):
+        assert not numfield._residue_sieve_rejects(L, beta**p, p)
+        assert numfield._lifted_roots(L, beta**p, p) is not None
+        assert pth_root_in_field(L, beta**p, p) is not None
+        assert pth_root_in_field(L, beta, p) is None
+    assert reduced and set(reduced.values()) == {1}, reduced
+    assert sorted(reduced) == sorted(L._roots)
 
 
 def test_residue_sieve_tries_no_residue_past_the_crossover(monkeypatch):
@@ -1427,7 +1457,8 @@ def test_lifted_roots_match_factoring_reference(monkeypatch):
     rng = random.Random(35)
     fields = sieve_fields()
     cube_root_3 = NumberField(qpoly(-3, 0, 0, 1))
-    assert all(len(roots) < 3 for _, roots in cube_root_3._certificate_primes())
+    assert len(_LIFT_PRIMES) == numfield._CERT_PRIMES
+    assert all(len(numfield._simple_roots(cube_root_3, ell)) < 3 for ell in _LIFT_PRIMES)
     routes = collections.Counter()
     original = numfield._lifted_roots
 
@@ -1496,7 +1527,7 @@ def test_fifth_roots_over_q_zeta5_fall_back_to_factoring(monkeypatch):
     # roots, past _LIFT_COMBINATIONS, so the lift settles nothing and
     # x**5 - beta**5 is factored
     Z5 = NumberField(qpoly(1, 1, 1, 1, 1))
-    assert [ell for ell, roots in Z5._certificate_primes() if len(roots) == 4] == [11, 31, 41]
+    assert [ell for ell in _LIFT_PRIMES if len(numfield._simple_roots(Z5, ell)) == 4] == [11, 31, 41]
     assert 5**4 > numfield._LIFT_COMBINATIONS
     beta = Z5.element([Fraction(1, 2), 0, Fraction(-2, 3), 1])
     assert numfield._lifted_roots(Z5, beta**5, 5) is None

@@ -355,3 +355,61 @@ def test_every_function_is_called_or_exported():
     package = pathlib.Path(qrank.__file__).parent
     sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
     assert _unreferenced_functions(sources, set(qrank.__all__)) == _UNREFERENCED_ALLOWED
+
+
+# Parameters with a default that no qrank call passes, on functions
+# outside __all__: only cli.main's argv, which tests pass and the console
+# script leaves to sys.argv.
+_UNPASSED_DEFAULTS_ALLOWED = {("cli.py", "main", "argv")}
+
+
+def _unpassed_defaults(sources: dict[str, str], exported: set[str]) -> set[tuple[str, str, str]]:
+    """(file, function, parameter) for each parameter with a default of a
+    module-level function of the sources, keyed by file name, that is not
+    exported, when no call in the sources to that name (as a name or as
+    an attribute) passes it by position or by keyword.  A call with *args
+    or **kwargs counts as passing every parameter."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls[name].append(node)
+
+    def passes(call: ast.Call, index: int | None, name: str) -> bool:
+        return (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or index is not None and len(call.args) > index
+            or any(k.arg in (name, None) for k in call.keywords)
+        )
+
+    found = set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name in exported:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [
+                (None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            found.update(
+                (path, node.name, name)
+                for index, name in params
+                if not any(passes(call, index, name) for call in calls[node.name])
+            )
+    return found
+
+
+def test_every_default_parameter_is_passed():
+    sample = {
+        "m.py": "def a(x, y=1, *, z=2): pass\ndef b(x, y=1): pass\ndef c(v=0): pass\n",
+        "n.py": "import m\nm.a(1, z=3)\nb(1, 2)\nc(*[])\ndef d(w=1): pass\n",
+    }
+    assert _unpassed_defaults(sample, {"d"}) == {("m.py", "a", "y")}
+    package = pathlib.Path(qrank.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unpassed_defaults(sources, set(qrank.__all__)) == _UNPASSED_DEFAULTS_ALLOWED
